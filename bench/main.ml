@@ -113,32 +113,6 @@ let parse_args () =
   go (List.tl (Array.to_list Sys.argv));
   o
 
-(* ------------------------------------------------- parallel circuit map *)
-
-let parallel_map ~jobs f xs =
-  let xs = Array.of_list xs in
-  let n = Array.length xs in
-  let results = Array.make n None in
-  let next = Atomic.make 0 in
-  let worker () =
-    let rec loop () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        results.(i) <- Some (f xs.(i));
-        loop ()
-      end
-    in
-    loop ()
-  in
-  let domains = Array.init (min jobs n) (fun _ -> Domain.spawn worker) in
-  Array.iter Domain.join domains;
-  Array.to_list
-    (Array.map
-       (function
-         | Some r -> r
-         | None -> failwith "parallel_map: missing result")
-       results)
-
 (* --------------------------------------------------------- comparisons *)
 
 let ratio a b = if b = 0 then nan else float_of_int a /. float_of_int b
@@ -534,17 +508,15 @@ type server_bench = {
   sb_rps_jobs1 : float;
   sb_hi_jobs : int;
   sb_rps_hi : float;
-  sb_trial_pool : int;
 }
 
-let with_bench_daemon ?(trial_pool = 0) ~jobs f =
+let with_bench_daemon ~jobs f =
   let sock = Filename.temp_file "scanatpg_bench" ".sock" in
   let addr = Server.Daemon.Unix_sock sock in
   let cfg =
     {
       (Server.Daemon.default_config addr) with
       Server.Daemon.jobs;
-      trial_pool;
       queue_depth = 64;
       install_signals = false;
       verbose = false;
@@ -598,7 +570,7 @@ let pipelined_rps addr req n =
       done;
       float_of_int n /. Obs.Clock.to_s (Obs.Clock.elapsed_ns t))
 
-let server_roundtrip ?(hi_jobs = 2) ?(trial_pool = 0) ~scale () =
+let server_roundtrip ?(hi_jobs = 2) ~scale () =
   print_endline "--- server round-trip (cold vs warm cache, req/s) ---";
   let circuits = [ "s27"; "s298" ] in
   let rows =
@@ -624,7 +596,7 @@ let server_roundtrip ?(hi_jobs = 2) ?(trial_pool = 0) ~scale () =
                   cold *. 1e3, !acc /. float_of_int reps *. 1e3, slow))
         in
         let rps jobs =
-          with_bench_daemon ~jobs ~trial_pool (fun addr ->
+          with_bench_daemon ~jobs (fun addr ->
               pipelined_rps addr req (if slow then 4 else 32))
         in
         let rps1 = rps 1 in
@@ -643,7 +615,6 @@ let server_roundtrip ?(hi_jobs = 2) ?(trial_pool = 0) ~scale () =
           sb_rps_jobs1 = rps1;
           sb_hi_jobs = hi_jobs;
           sb_rps_hi = rps_hi;
-          sb_trial_pool = trial_pool;
         })
       circuits
   in
@@ -1153,12 +1124,12 @@ let write_bench5_json path ~scale ~cores ~gate ~compaction ~server =
               "    {\"circuit\": \"%s\", \"cold_ms\": %.3f, \"warm_ms\": \
                %.3f, \"warm_speedup\": %.3f, \"rps_jobs1\": %.1f, \
                \"hi_jobs\": %d, \"rps_hi\": %.1f, \"rps_speedup\": %.3f, \
-               \"trial_pool\": %d}"
+               \"pool_size\": %d}"
               (json_escape r.sb_circuit) r.sb_cold_ms r.sb_warm_ms
               (r.sb_cold_ms /. r.sb_warm_ms)
               r.sb_rps_jobs1 r.sb_hi_jobs r.sb_rps_hi
               (r.sb_rps_hi /. r.sb_rps_jobs1)
-              r.sb_trial_pool)
+              Par.size)
           server));
   add "}\n";
   Obs.Fileio.write_string path (Buffer.contents b);
@@ -1282,7 +1253,7 @@ let run_fleet_gate o =
 
 (* The CI bench-gate entry point: only the two multicore kernels run —
    speculative compaction at jobs 1 vs 4 and daemon round-trips at
-   server-jobs 1 vs 4 through a shared 4-domain trial pool — and the run
+   server-jobs 1 vs 4, trials on the process-wide {!Par} pool — and the run
    fails (exit 5) when the best omission speedup lands under the
    [--min-omission-speedup] floor.  Tables, ablations and Bechamel are
    skipped so the job stays minutes, not tens of minutes. *)
@@ -1295,7 +1266,7 @@ let run_multicore_gate o =
     "scanatpg bench --multicore-gate: scale=%s, %d recommended domains\n\n%!"
     scale_name cores;
   let compaction = compaction_compare ~scale:o.scale in
-  let server = server_roundtrip ~scale:o.scale ~hi_jobs:4 ~trial_pool:4 () in
+  let server = server_roundtrip ~scale:o.scale ~hi_jobs:4 () in
   let best =
     write_bench5_json o.json5 ~scale:scale_name ~cores
       ~gate:o.min_omission_speedup ~compaction ~server
@@ -1324,15 +1295,15 @@ let () =
     o.jobs;
   let t0 = Obs.Clock.now_ns () in
   let timed_results =
-    parallel_map ~jobs:o.jobs
-      (fun name ->
-        let metrics = Obs.Metrics.create () in
-        let t = Obs.Clock.now_ns () in
-        let r = Core.Pipeline.run ~scale:o.scale ~metrics name in
-        let wall = Obs.Clock.to_s (Obs.Clock.elapsed_ns t) in
-        Printf.printf "  %-8s done in %.1fs\n%!" name wall;
-        r, wall)
-      o.circuits
+    let names = Array.of_list o.circuits in
+    Array.to_list
+      (Par.map ~jobs:o.jobs (Array.length names) (fun i ->
+           let metrics = Obs.Metrics.create () in
+           let t = Obs.Clock.now_ns () in
+           let r = Core.Pipeline.run ~scale:o.scale ~metrics names.(i) in
+           let wall = Obs.Clock.to_s (Obs.Clock.elapsed_ns t) in
+           Printf.printf "  %-8s done in %.1fs\n%!" names.(i) wall;
+           r, wall))
   in
   let results = List.map fst timed_results in
   Printf.printf "all pipelines done in %.1fs\n\n%!"

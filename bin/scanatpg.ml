@@ -690,16 +690,6 @@ let serve_cmd =
           ~doc:"Worker domains executing requests concurrently. Response \
                 payloads are identical at any value; see DESIGN.md \xc2\xa711.")
   in
-  let trial_pool_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "trial-pool" ] ~docv:"N"
-          ~doc:"Share one daemon-wide pool of $(docv) domains across every \
-                request's speculative compaction trials instead of spawning \
-                per-round islands. Response payloads are identical at any \
-                value; 0 (the default) keeps per-round spawning. See \
-                DESIGN.md \xc2\xa714.")
-  in
   let queue_arg =
     Arg.(
       value & opt int 16
@@ -782,14 +772,13 @@ let serve_cmd =
                 #max-fires. Reconfigure at runtime with the $(b,chaos) op; \
                 $(b,off) clears. See DESIGN.md \xc2\xa713.")
   in
-  let run socket tcp jobs trial_pool queue cache scale access grace
+  let run socket tcp jobs queue cache scale access grace
       metrics_path trace_path trace_format slow_ms idle read_deadline
       max_inflight chaos quiet =
     Server.Daemon.run
       {
         Server.Daemon.addr = parse_addr socket tcp;
         jobs;
-        trial_pool = max 0 trial_pool;
         queue_depth = queue;
         cache_capacity = cache;
         default_scale = scale;
@@ -823,10 +812,10 @@ let serve_cmd =
              admission control, graceful drain and per-request tracing \
              (DESIGN.md \xc2\xa711-\xc2\xa712).")
     Term.(
-      const run $ socket_arg $ tcp_arg $ server_jobs_arg $ trial_pool_arg
-      $ queue_arg $ cache_arg $ scale_arg $ access_arg $ grace_arg
-      $ metrics_arg $ trace_arg $ trace_format_arg $ slow_arg $ idle_arg
-      $ read_deadline_arg $ max_inflight_arg $ chaos_arg $ quiet_arg)
+      const run $ socket_arg $ tcp_arg $ server_jobs_arg $ queue_arg
+      $ cache_arg $ scale_arg $ access_arg $ grace_arg $ metrics_arg
+      $ trace_arg $ trace_format_arg $ slow_arg $ idle_arg $ read_deadline_arg
+      $ max_inflight_arg $ chaos_arg $ quiet_arg)
 
 (* -------------------------------------------------------------- router *)
 
@@ -855,12 +844,6 @@ let router_cmd =
       & info [ "server-jobs" ] ~docv:"N"
           ~doc:"Worker domains per shard (passed through to each shard's \
                 $(b,serve)).")
-  in
-  let trial_pool_arg =
-    Arg.(
-      value & opt int 0
-      & info [ "trial-pool" ] ~docv:"N"
-          ~doc:"Per-shard speculative-trial pool size (passed through).")
   in
   let cache_arg =
     Arg.(
@@ -899,7 +882,7 @@ let router_cmd =
       value & flag
       & info [ "quiet"; "q" ] ~doc:"Suppress lifecycle messages on stderr.")
   in
-  let run socket tcp shards result_cache jobs trial_pool cache_capacity grace
+  let run socket tcp shards result_cache jobs cache_capacity grace
       chaos shard_chaos metrics_path quiet =
     let addr = parse_addr socket tcp in
     (* Each shard is this very binary re-exec'ed as `serve` on its own
@@ -910,7 +893,6 @@ let router_cmd =
       let base =
         [ exe; "serve"; "--socket"; shard_socket; "--quiet";
           "--server-jobs"; string_of_int jobs;
-          "--trial-pool"; string_of_int trial_pool;
           "--cache-capacity"; string_of_int cache_capacity ]
       in
       let argv =
@@ -949,7 +931,7 @@ let router_cmd =
              $(b,stats) and $(b,top) point at it unchanged.")
     Term.(
       const run $ socket_arg $ tcp_arg $ shards_arg $ result_cache_arg
-      $ shard_jobs_arg $ trial_pool_arg $ cache_arg $ grace_arg $ chaos_arg
+      $ shard_jobs_arg $ cache_arg $ grace_arg $ chaos_arg
       $ shard_chaos_arg $ metrics_arg $ quiet_arg)
 
 (* --------------------------------------------------------------- batch *)

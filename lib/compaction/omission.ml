@@ -57,7 +57,7 @@ type stats = {
    paying again, so it doubles back up to [config.jobs].  Turning the
    controller off (or varying [jobs]) changes only dispatch-schedule
    telemetry ([compaction.speculative.*] / [compaction.adaptive.*]). *)
-let one_pass ?pool model (targets : Target.t) config ~chunk ~spec ~adaptive
+let one_pass model (targets : Target.t) config ~chunk ~spec ~adaptive
     seq det trial_budget obudget =
   let n = Target.count targets in
   let seq = ref seq in
@@ -68,7 +68,7 @@ let one_pass ?pool model (targets : Target.t) config ~chunk ~spec ~adaptive
     Faultsim.create ~jobs:config.jobs model ~fault_ids:targets.Target.fault_ids
   in
   (* One arena per pass: each round's capture recycles the previous
-     round's packed buffers (the [Spec.map] join guarantees no probe
+     round's packed buffers (the [Par.map] join guarantees no probe
      still reads them). *)
   let arena = Faultsim.arena () in
   (* Width controller state: the current speculation cap and the length
@@ -188,7 +188,7 @@ let one_pass ?pool model (targets : Target.t) config ~chunk ~spec ~adaptive
       in
       (subset, c, accept)
     in
-    let results = Spec.map ?pool ~jobs:width width trial in
+    let results = Par.map ~jobs:width width trial in
     if width > 1 then
       spec.Spec.dispatched <- spec.Spec.dispatched + (width - 1);
     (* Commit left to right; the first acceptance wins the round. *)
@@ -248,8 +248,8 @@ let one_pass ?pool model (targets : Target.t) config ~chunk ~spec ~adaptive
     adaptive.Spec.arena_reuses + Faultsim.arena_hits arena;
   !seq, !changed, (!trials, !accepted, !removed)
 
-let run ?(budget = Obs.Budget.unlimited) ?metrics ?trace ?spec ?adaptive ?pool
-    model seq (targets : Target.t) config =
+let run ?(budget = Obs.Budget.unlimited) ?metrics ?trace ?spec ?adaptive model
+    seq (targets : Target.t) config =
   let spec =
     match spec with
     | Some s -> s
@@ -298,7 +298,7 @@ let run ?(budget = Obs.Budget.unlimited) ?metrics ?trace ?spec ?adaptive ?pool
         in
         let seq', changed, (t, a, r) =
           timed (fun () ->
-              one_pass ?pool model targets config ~chunk ~spec ~adaptive !seq
+              one_pass model targets config ~chunk ~spec ~adaptive !seq
                 det trial_budget budget)
         in
         seq := seq';

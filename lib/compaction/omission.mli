@@ -31,9 +31,8 @@
     detection times and {!stats} are bit-identical at ANY width
     trajectory; only the dispatch-schedule counters
     ([compaction.speculative.*] and [compaction.adaptive.*]) differ.
-    Snapshot buffers are arena-reused across rounds, and a shared
-    {!Spec.Pool} can supply the trial domains instead of per-round
-    spawns. *)
+    Snapshot buffers are arena-reused across rounds, and the trials run
+    on the process-wide {!Par} pool. *)
 
 type config = {
   max_passes : int;  (** passes over the sequence (fixpoint cut-off) *)
@@ -76,16 +75,14 @@ type stats = {
     (with optional [trace]) records one [omit.pass<n>] span per executed
     pass; [spec], when given, accumulates the speculative-dispatch
     counters (see {!Spec.counters}); [adaptive] accumulates the width
-    controller / arena-reuse counters (see {!Spec.adaptive}); [pool]
-    supplies trial-evaluation domains from a shared {!Spec.Pool}
-    instead of per-round spawns. *)
+    controller / arena-reuse counters (see {!Spec.adaptive}).  Rounds
+    wider than one trial run on the {!Par} pool. *)
 val run :
   ?budget:Obs.Budget.t ->
   ?metrics:Obs.Metrics.t ->
   ?trace:Obs.Trace.t ->
   ?spec:Spec.counters ->
   ?adaptive:Spec.adaptive ->
-  ?pool:Spec.Pool.t ->
   Faultmodel.Model.t ->
   Logicsim.Vectors.t ->
   Target.t ->

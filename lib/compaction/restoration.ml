@@ -40,7 +40,7 @@ type stats = {
 let make_stats () = { restored = 0; probes = 0; batch_sims = 0 }
 
 let run ?stats ?(budget = Obs.Budget.unlimited) ?(jobs = 1) ?spec ?adaptive
-    ?pool model seq (targets : Target.t) =
+    model seq (targets : Target.t) =
   let spec =
     match spec with
     | Some s -> s
@@ -208,7 +208,7 @@ let run ?stats ?(budget = Obs.Budget.unlimited) ?(jobs = 1) ?spec ?adaptive
         let keep0 = Array.copy keep in
         let gen0 = !keep_gen in
         let results =
-          Spec.map ?pool ~jobs w (fun j -> restore_set keep0 wave.(j))
+          Par.map ~jobs w (fun j -> restore_set keep0 wave.(j))
         in
         if w > 1 then spec.Spec.dispatched <- spec.Spec.dispatched + (w - 1);
         Array.iteri

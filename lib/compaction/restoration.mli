@@ -39,10 +39,8 @@ val make_stats : unit -> stats
     at or below their detection time since their frozen copy was taken
     (bits are set-only, so the member's terminating probe simulated
     exactly the live selection and already verified detection);
-    [pool] draws wave-evaluation domains
-    from a shared {!Spec.Pool}; [jobs] (default 1) bounds the domains
-    used for wave evaluation and batch simulation without affecting any
-    result.
+    [jobs] (default 1) above 1 evaluates waves and batch simulations on
+    the {!Par} pool without affecting any result.
 
     When [budget] trips mid-run the procedure degrades gracefully: probing
     stops and every unfinished fault restores its whole prefix [[0..dt]],
@@ -54,5 +52,4 @@ val run :
   ?jobs:int ->
   ?spec:Spec.counters ->
   ?adaptive:Spec.adaptive ->
-  ?pool:Spec.Pool.t ->
   Faultmodel.Model.t -> Logicsim.Vectors.t -> Target.t -> Logicsim.Vectors.t

@@ -32,204 +32,3 @@ let record_adaptive a counters =
   Obs.Counters.add counters "compaction.adaptive.arena_reuses" a.arena_reuses;
   Obs.Counters.add counters "compaction.adaptive.replay_skipped"
     a.replay_skipped
-
-(* ------------------------------------------------------------ trial pool *)
-
-(* A daemon-wide pool of worker domains that trial evaluations from every
-   in-flight request share, replacing the per-call spawn/join islands.
-   One mutex guards the whole pool; trials run for milliseconds, so the
-   lock is never contended on the hot path.
-
-   Deadlock freedom does not depend on pool capacity: the submitting
-   domain runs slot 0 itself and then steals its own still-unclaimed
-   slots back from the queue while waiting, so a submission completes
-   even when every pool worker is busy with other requests.  Results are
-   written into per-submission slots by index, which makes the output
-   independent of pool size, scheduling, or how many submissions are in
-   flight. *)
-module Pool = struct
-  (* One speculative round submitted to the pool.  [f] is hidden behind
-     a closure writing its own result slot, so the queue is untyped. *)
-  type sub = {
-    id : int;
-    run_slot : int -> unit;
-    total : int;
-    mutable next : int;  (* next unclaimed slot *)
-    mutable finished : int;
-    mutable err : exn option;
-  }
-
-  type t = {
-    m : Mutex.t;
-    work : Condition.t;  (* workers: a submission may have claimable slots *)
-    done_ : Condition.t;  (* submitters: a slot finished *)
-    mutable queue : sub list;  (* submissions with unclaimed slots, FIFO *)
-    mutable shutdown : bool;
-    mutable next_id : int;
-    size : int;
-    mutable workers : unit Domain.t array;
-  }
-
-  let size t = t.size
-
-  (* Claim one slot of [sub]; caller holds the lock. *)
-  let claim t sub =
-    let k = sub.next in
-    sub.next <- sub.next + 1;
-    if sub.next >= sub.total then
-      t.queue <- List.filter (fun s -> s.id <> sub.id) t.queue;
-    k
-
-  let finish t sub k =
-    (match sub.run_slot k with
-     | () -> ()
-     | exception e ->
-       Mutex.lock t.m;
-       if sub.err = None then sub.err <- Some e;
-       Mutex.unlock t.m);
-    Mutex.lock t.m;
-    sub.finished <- sub.finished + 1;
-    if sub.finished >= sub.total then Condition.broadcast t.done_;
-    Mutex.unlock t.m
-
-  let worker_loop t =
-    let continue_ = ref true in
-    while !continue_ do
-      Mutex.lock t.m;
-      while t.queue = [] && not t.shutdown do
-        Condition.wait t.work t.m
-      done;
-      if t.shutdown && t.queue = [] then begin
-        Mutex.unlock t.m;
-        continue_ := false
-      end
-      else begin
-        let sub = List.hd t.queue in
-        let k = claim t sub in
-        Mutex.unlock t.m;
-        finish t sub k
-      end
-    done
-
-  let create ~size =
-    let size = max 1 size in
-    let t =
-      { m = Mutex.create ();
-        work = Condition.create ();
-        done_ = Condition.create ();
-        queue = [];
-        shutdown = false;
-        next_id = 0;
-        size;
-        workers = [||] }
-    in
-    t.workers <- Array.init size (fun _ -> Domain.spawn (fun () -> worker_loop t));
-    t
-
-  let shutdown t =
-    Mutex.lock t.m;
-    t.shutdown <- true;
-    Condition.broadcast t.work;
-    Mutex.unlock t.m;
-    Array.iter Domain.join t.workers
-
-  (* Evaluate [f 0 .. f (n-1)] on the pool; the calling domain runs slot
-     0 and self-steals the rest of its own submission while waiting. *)
-  let run t n f =
-    let results = Array.make n None in
-    let sub =
-      Mutex.lock t.m;
-      if t.shutdown then begin
-        Mutex.unlock t.m;
-        invalid_arg "Spec.Pool.run: pool is shut down"
-      end;
-      let id = t.next_id in
-      t.next_id <- id + 1;
-      let sub =
-        { id;
-          run_slot = (fun k -> results.(k) <- Some (f k));
-          total = n;
-          (* Slot 0 is pre-claimed for the submitting domain: the round's
-             first trial always starts immediately. *)
-          next = 1;
-          finished = 0;
-          err = None }
-      in
-      if n > 1 then begin
-        t.queue <- t.queue @ [ sub ];
-        Condition.broadcast t.work
-      end;
-      Mutex.unlock t.m;
-      sub
-    in
-    finish t sub 0;
-    let continue_ = ref true in
-    while !continue_ do
-      Mutex.lock t.m;
-      if sub.next < sub.total then begin
-        let k = claim t sub in
-        Mutex.unlock t.m;
-        finish t sub k
-      end
-      else begin
-        while sub.finished < sub.total do
-          Condition.wait t.done_ t.m
-        done;
-        Mutex.unlock t.m;
-        continue_ := false
-      end
-    done;
-    (match sub.err with
-     | Some e -> raise e
-     | None -> ());
-    Array.map
-      (function
-        | Some v -> v
-        | None -> assert false)
-      results
-end
-
-(* Round-robin deal, like the fault simulator's group scheduling: index k
-   runs on domain (k mod jobs).  Writes land in disjoint array slots, so
-   no synchronization is needed; the join is the only barrier.  With a
-   [pool], slots are claimed from the shared worker set instead of
-   spawning per-call domains — results are identical either way. *)
-let map ?pool ~jobs n f =
-  let jobs = max 1 (min jobs n) in
-  match pool with
-  | Some p when jobs > 1 && n > 1 -> Pool.run p n f
-  | _ ->
-    let results = Array.make n None in
-    let run w =
-      let k = ref w in
-      while !k < n do
-        results.(!k) <- Some (f !k);
-        k := !k + jobs
-      done
-    in
-    if jobs = 1 then run 0
-    else begin
-      let guarded w = match run w with () -> Ok () | exception e -> Error e in
-      let workers =
-        Array.init (jobs - 1) (fun i ->
-            Domain.spawn (fun () -> guarded (i + 1)))
-      in
-      let mine = guarded 0 in
-      let theirs = Array.map Domain.join workers in
-      let first =
-        Array.fold_left
-          (fun acc r ->
-            match acc with
-            | Error _ -> acc
-            | Ok () -> r)
-          mine theirs
-      in
-      match first with
-      | Ok () -> ()
-      | Error e -> raise e
-    end;
-    Array.map
-      (function
-        | Some v -> v
-        | None -> assert false)
-      results

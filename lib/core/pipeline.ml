@@ -75,7 +75,7 @@ let zero_omit_stats =
    [Target.compute]: a frozen probe there would silently drop compaction
    targets, whereas restoration and omission degrade to a valid (merely
    longer) sequence. *)
-let compact ?pool cfg model seq targets ~metrics ~trace ~rstats ~budget =
+let compact cfg model seq targets ~metrics ~trace ~rstats ~budget =
   (* Speculative-dispatch accounting for both procedures, folded into the
      metrics counters below — i.e. before any checkpoint captures them, so
      a resumed run reports the same totals as an uninterrupted one. *)
@@ -85,8 +85,7 @@ let compact ?pool cfg model seq targets ~metrics ~trace ~rstats ~budget =
     Obs.Metrics.timed metrics ~trace "restore" (fun () ->
         let restored =
           Compaction.Restoration.run ~stats:rstats ~budget
-            ~jobs:cfg.Config.compact_jobs ~spec ~adaptive ?pool model seq
-            targets
+            ~jobs:cfg.Config.compact_jobs ~spec ~adaptive model seq targets
         in
         let targets_r =
           Compaction.Target.compute ~jobs:cfg.Config.sim_jobs model restored
@@ -103,8 +102,8 @@ let compact ?pool cfg model seq targets ~metrics ~trace ~rstats ~budget =
   in
   let omitted, _, ostats =
     Obs.Metrics.timed metrics ~trace "omit" (fun () ->
-        Compaction.Omission.run ~budget ~metrics ~trace ~spec ~adaptive ?pool
-          model restored targets_r omission)
+        Compaction.Omission.run ~budget ~metrics ~trace ~spec ~adaptive model
+          restored targets_r omission)
   in
   let c = Obs.Metrics.counters metrics in
   Compaction.Spec.record spec c;
@@ -119,7 +118,7 @@ let compact ?pool cfg model seq targets ~metrics ~trace ~rstats ~budget =
 
 let run ?(scale = Circuits.Profiles.Quick) ?config ?metrics ?(trace = Obs.Trace.null)
     ?(budget = Obs.Budget.unlimited) ?checkpoint ?resume
-    ?(checkpoint_every = 25) ?halt_after ?pool name =
+    ?(checkpoint_every = 25) ?halt_after name =
   let metrics =
     match metrics with
     | Some m -> m
@@ -238,7 +237,7 @@ let run ?(scale = Circuits.Profiles.Quick) ?config ?metrics ?(trace = Obs.Trace.
       | Some { Checkpoint.p_compact = Some (r, o, s); _ } -> r, o, s
       | _ ->
         let r, o, s =
-          compact ?pool cfg model seq targets ~metrics ~trace ~rstats ~budget
+          compact cfg model seq targets ~metrics ~trace ~rstats ~budget
         in
         save_stage
           (Checkpoint.Phased
@@ -365,7 +364,7 @@ let run ?(scale = Circuits.Profiles.Quick) ?config ?metrics ?(trace = Obs.Trace.
       (* Row 7's compaction accumulates into the same restore/omit phases
          and counters as row 6's. *)
       let restored7, omitted7, _ =
-        compact ?pool cfg model t7 targets7 ~metrics ~trace ~rstats ~budget
+        compact cfg model t7 targets7 ~metrics ~trace ~rstats ~budget
       in
       Some
         {

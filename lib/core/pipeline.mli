@@ -82,11 +82,7 @@ exception Halted of string
     resumed run's table rows and jobs-invariant counters are bit-identical
     to an uninterrupted one.  [halt_after] raises {!Halted} just after the
     named phase ([generate], [compact], [extra-detect], [baseline])
-    checkpoints — an induced crash for resume tests.
-
-    [pool], when given, supplies compaction's speculative trial domains
-    from a shared {!Compaction.Spec.Pool} (the daemon's batch-level
-    parallelism) instead of per-round spawns; results are identical. *)
+    checkpoints — an induced crash for resume tests. *)
 val run :
   ?scale:Circuits.Profiles.scale ->
   ?config:Config.t ->
@@ -97,7 +93,6 @@ val run :
   ?resume:Checkpoint.file ->
   ?checkpoint_every:int ->
   ?halt_after:string ->
-  ?pool:Compaction.Spec.Pool.t ->
   string ->
   result
 

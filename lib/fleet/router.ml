@@ -347,6 +347,15 @@ let status_is_ok suffix =
     let j = i + String.length "\"status\":\"" in
     j + 3 <= String.length suffix && String.sub suffix j 3 = "ok\""
 
+(* A draining shard's typed rejection, as it follows the [id] field. *)
+let draining_suffix =
+  match
+    Result_cache.split_id
+      (Protocol.error_response ~id:0 "overloaded" Protocol.draining_reason)
+  with
+  | Some (_, suffix) -> suffix
+  | None -> assert false
+
 let handle_shard_frame st sh payload =
   match Result_cache.split_id payload with
   | None -> bump st "router.bad_response" 1
@@ -363,6 +372,13 @@ let handle_shard_frame st sh payload =
            restart backoff to its base *)
         sh.s_backoff_ms <- st.cfg.restart_backoff_ms;
         bump st "router.probes_ok" 1
+      | Client _ when suffix = draining_suffix ->
+        (* The shard is shutting down (a supervisor kill, an operator
+           SIGTERM) and refused to admit the request: that is a lost
+           delivery, so redispatch it after the restart like any other
+           in-flight request of a downed shard. *)
+        shard_down st sh "draining";
+        requeue st sh serial p
       | Client c ->
         (match c.ckey with
         | Some key when status_is_ok suffix ->

@@ -333,9 +333,9 @@ let create ?good_state ?faulty_states ?(engine = Event) ?(jobs = 1)
 let time t = t.time
 
 (* Toggle / weighted-switching activity of the good machine, counted right
-   after its step.  Only the session domain calls this (spawned workers
-   merely replay the good trace), so plain mutation of [t.stats] is safe
-   and the totals never depend on [jobs].  A toggle is a binary-to-opposite
+   after its step.  Only the session's own slot calls this (the other
+   slots merely replay the good trace), so plain mutation of [t.stats] is
+   safe and the totals never depend on [jobs].  A toggle is a binary-to-opposite
    transition; X transitions carry no defined switching energy.  The WSA
    weight [1 + fanouts] is the usual gate-plus-fanout capacitance proxy. *)
 let count_activity t gsim =
@@ -860,12 +860,12 @@ type block = {
 }
 
 (* Run [blocks] over the whole view with worker-owned state.  [gsim] is the
-   worker's good machine (the session's own for the calling domain, a
-   replayed copy for spawned ones).  [step_all] keeps stepping the good
-   machine after every group retired — required for the session machine,
-   whose final state is observable.  Blocks are mutated in place; the
-   caller reads them back after the domain join.  Returns the worker's
-   detection count and its staged telemetry counters. *)
+   worker's good machine (the session's own for slot 0, which the calling
+   domain runs; a replayed copy for the other slots).  [step_all] keeps
+   stepping the good machine after every group retired — required for the
+   session machine, whose final state is observable.  Blocks are mutated
+   in place; the caller reads them back after the [Par.map] join.  Returns
+   the worker's detection count and its staged telemetry counters. *)
 let run_worker t sc gsim view t0 ~blocks ~step_all =
   let nframes = View.length view in
   let n = Array.length sc.gw0 in
@@ -875,8 +875,8 @@ let run_worker t sc gsim view t0 ~blocks ~step_all =
   let live = ref (Array.fold_left (fun a b -> a + b.blive) 0 blocks) in
   (* A tripped budget freezes this worker's fault machines at the current
      frame (sound: no detection is ever invented, faults merely stay
-     undetected).  Only the session domain probes the clock; spawned
-     workers read the atomic tripped flag, keeping the budget's non-atomic
+     undetected).  Only the session's slot probes the clock; the other
+     slots read the atomic tripped flag, keeping the budget's non-atomic
      probe state single-domain.  The session's good machine still steps
      through every frame so its final state stays consistent. *)
   let limited = Obs.Budget.limited t.budget in
@@ -973,58 +973,36 @@ let advance_event t view =
     end
     else begin
       (* Blocks are independent given the good trace: deal them round-robin
-         across domains.  Each spawned worker replays the good machine from
-         the pre-advance state with its own scratch; detection times and
-         group states land in disjoint slots, so the merged outcome is
-         identical to the sequential schedule regardless of
-         interleaving. *)
+         across [jobs] pool slots.  Slot 0 steps the session's own good
+         machine; every other slot replays it from the pre-advance state
+         with its own scratch.  Detection times and group states land in
+         disjoint slots, so the merged outcome is identical to the
+         sequential schedule regardless of interleaving, and an error is
+         re-raised from the lowest slot — the session's own share first. *)
       let init_state = Goodsim.state t.good in
       let share w =
         let acc = ref [] in
         Array.iter (fun b -> if b.bid mod jobs = w then acc := b :: !acc) blocks;
         Array.of_list (List.rev !acc)
       in
-      (* An exception in any worker (including the session domain's own
-         share) must not leave sibling domains unjoined: capture each
-         worker's outcome, join everything, then re-raise the first error —
-         session domain first, then spawn order — with its backtrace. *)
-      let spawned =
-        Array.init (jobs - 1) (fun k ->
-            let blocks = share (k + 1) in
-            Domain.spawn (fun () ->
-                match
-                  let sc = make_scratch t.model in
-                  let gsim =
-                    Goodsim.create ~levelize:t.model.Model.levelize
-                      t.model.Model.circuit
-                  in
-                  Goodsim.set_state gsim init_state;
-                  run_worker t sc gsim view t0 ~blocks ~step_all:false
-                with
-                | r -> Ok r
-                | exception e -> Error (e, Printexc.get_raw_backtrace ())))
+      let results =
+        Par.map ~jobs jobs (fun w ->
+            if w = 0 then
+              run_worker t t.scratch t.good view t0 ~blocks:(share 0)
+                ~step_all:true
+            else begin
+              let sc = make_scratch t.model in
+              let gsim =
+                Goodsim.create ~levelize:t.model.Model.levelize
+                  t.model.Model.circuit
+              in
+              Goodsim.set_state gsim init_state;
+              run_worker t sc gsim view t0 ~blocks:(share w) ~step_all:false
+            end)
       in
-      let main_result =
-        match
-          run_worker t t.scratch t.good view t0 ~blocks:(share 0)
-            ~step_all:true
-        with
-        | r -> Ok r
-        | exception e -> Error (e, Printexc.get_raw_backtrace ())
-      in
-      let results = Array.map Domain.join spawned in
-      let reraise = function
-        | Error (e, bt) -> Printexc.raise_with_backtrace e bt
-        | Ok _ -> ()
-      in
-      reraise main_result;
-      Array.iter reraise results;
-      let unwrap = function Ok r -> r | Error _ -> assert false in
-      let d0, ws0 = unwrap main_result in
-      let results = Array.map unwrap results in
-      let d = Array.fold_left (fun acc (dm, _) -> acc + dm) d0 results in
-      t.detected <- t.detected + d;
-      ws0 :: Array.to_list (Array.map snd results)
+      t.detected <-
+        Array.fold_left (fun acc (d, _) -> acc + d) t.detected results;
+      Array.to_list (Array.map snd results)
     end
   in
   List.iter (flush_sstats t.stats) worker_stats;
@@ -1191,7 +1169,7 @@ type snapshot = {
    (repacking shrinks the group count; the pool keeps the high-water
    set).  Taking a new snapshot from an arena therefore invalidates the
    previous snapshot taken from it — callers must finish every probe of
-   a round before capturing the next (the speculative [Spec.map] join is
+   a round before capturing the next (the speculative [Par.map] join is
    exactly that barrier). *)
 type snapshot_arena = {
   mutable ar_captured : Bytes.t;

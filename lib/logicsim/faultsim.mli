@@ -16,8 +16,8 @@
       are re-evaluated through a per-level event queue built on
       {!Netlist.Levelize} data.  Since groups are independent given the good
       trace, sessions created with [jobs > 1] deal groups round-robin across
-      [Domain.spawn] workers, each with its own scratch arrays and good
-      machine replay; results (detection times, states, counts) are
+      [jobs] slots of the process-wide {!Par} pool, each with its own
+      scratch arrays and good machine replay; results (detection times, states, counts) are
       bit-identical to the sequential schedule.
     - {!Dense} is the original PROOFS-style kernel evaluating every gate of
       every frame for every group.  It is the cross-validation oracle and
@@ -67,10 +67,10 @@ type stats = {
     indexed like [Circuit.dffs]; [faulty_states] (default: same as the good
     state) gives a per-fault initial state, enabling sessions that continue
     from the middle of another simulation.  [engine] selects the kernel
-    (default {!Event}); [jobs] (default 1) bounds the number of domains the
-    event engine may schedule fault groups across; [observe] (default
-    [false]) additionally counts good-machine toggle / switching activity
-    into {!stats} and {!frame_toggles}.
+    (default {!Event}); [jobs] (default 1) is the number of slots the
+    event engine deals fault groups across (above 1, on the {!Par} pool);
+    [observe] (default [false]) additionally counts good-machine toggle /
+    switching activity into {!stats} and {!frame_toggles}.
 
     [budget] (default {!Obs.Budget.unlimited}) is polled once per frame:
     when it trips mid-{!advance}, fault machines freeze at the current
@@ -233,8 +233,8 @@ val detects_single_view :
     [set_block_hook f] installs a callback invoked once per {!advance} per
     scheduled repack block with the block's canonical id, from whichever
     domain owns the block.  A hook that raises exercises the parallel
-    error path: the session joins every sibling domain before re-raising
-    the first error (session domain first, then spawn order).  Not for
+    error path: every slot finishes before the error of the lowest slot
+    is re-raised (the session's own share first, then deal order).  Not for
     production use — reset with [clear_block_hook]. *)
 val set_block_hook : (int -> unit) -> unit
 val clear_block_hook : unit -> unit

@@ -9,7 +9,6 @@ type trace_format =
 type config = {
   addr : addr;
   jobs : int;
-  trial_pool : int;
   queue_depth : int;
   cache_capacity : int;
   default_scale : Circuits.Profiles.scale;
@@ -31,7 +30,6 @@ let default_config addr =
   {
     addr;
     jobs = 1;
-    trial_pool = 0;
     queue_depth = 16;
     cache_capacity = 8;
     default_scale = Circuits.Profiles.Quick;
@@ -79,11 +77,6 @@ type job = {
 type state = {
   cfg : config;
   svc : Service.t;
-  (* Daemon-wide speculative-trial pool ([--trial-pool]): every
-     request's compaction rounds/waves draw evaluation domains from this
-     one fixed set, so independent pipelined requests overlap their
-     trials instead of each spawning per-round [compact_jobs] islands. *)
-  pool : Compaction.Spec.Pool.t option;
   qmu : Mutex.t;
   qcv : Condition.t;
   queue : (int * job) Queue.t;  (* guarded by qmu *)
@@ -196,8 +189,7 @@ let run_job st serial job =
       "request"
       (fun () ->
         Obs.Failpoint.hit st.fp "worker";
-        Service.execute ?pool:st.pool st.svc ~budget:job.budget ~trace:rt
-          job.req)
+        Service.execute st.svc ~budget:job.budget ~trace:rt job.req)
   in
   let service_ns = Obs.Clock.now_ns () - deq_ns in
   send st job.conn payload;
@@ -394,7 +386,7 @@ let handle_payload st conn payload =
             cache = "-";
           }
       in
-      if st.draining then reject "daemon is draining"
+      if st.draining then reject Protocol.draining_reason
       else if conn_inflight >= st.cfg.max_inflight then
         (* Per-connection fairness: one pipelining client must not be
            able to claim the whole queue. *)
@@ -570,10 +562,6 @@ let run cfg =
       svc =
         Service.create ~cache_capacity:cfg.cache_capacity
           ~default_scale:cfg.default_scale ~failpoint:fp ();
-      pool =
-        (if cfg.trial_pool > 0 then
-           Some (Compaction.Spec.Pool.create ~size:cfg.trial_pool)
-         else None);
       qmu = Mutex.create ();
       qcv = Condition.create ();
       queue = Queue.create ();
@@ -701,10 +689,4 @@ let run cfg =
     end
   in
   let conns = loop [] in
-  let code = drain st conns listen_fd workers in
-  (* Workers are joined by [drain], so no submission can still be in
-     flight when the pool winds down. *)
-  (match st.pool with
-   | Some p -> Compaction.Spec.Pool.shutdown p
-   | None -> ());
-  code
+  drain st conns listen_fd workers

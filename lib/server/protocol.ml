@@ -340,6 +340,8 @@ let canonical_of_request ?(id = 0) ?drop_jobs (req : request) =
 
 (* ---------------------------------------------------------- responses *)
 
+let draining_reason = "daemon is draining"
+
 let error_response ~id kind message =
   Json.to_string
     (Json.Obj

@@ -126,3 +126,8 @@ val canonical_of_request : ?id:int -> ?drop_jobs:bool -> request -> string
     [{"id":id,"status":kind,"error":message}]; [kind] is ["error"],
     ["overloaded"] or ["internal_error"]. *)
 val error_response : id:int -> string -> string -> string
+
+(** The message of the ["overloaded"] rejection a draining daemon sends
+    for every compute request it refuses to admit.  A router treats that
+    reply from a shard as a lost delivery, not as the request's answer. *)
+val draining_reason : string

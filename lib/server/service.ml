@@ -87,9 +87,9 @@ let config_for entry (c : Protocol.compute) =
 
 (* --------------------------------------------------- response assembly *)
 
-(* Dispatch-schedule telemetry — the speculative counters (PR 4) and the
+(* Dispatch-schedule telemetry — the speculative counters and the
    adaptive width/arena/replay-skip counters — legitimately varies with
-   [compact_jobs], the width trajectory, and pool scheduling; keeping
+   [compact_jobs] and the width trajectory; keeping
    both families out of response payloads is what makes them
    byte-identical at any parallelism. *)
 let jobs_dependent_counter name =
@@ -127,16 +127,13 @@ let omission_json (o : Compaction.Omission.stats) =
       "removed_vectors", Json.Int o.Compaction.Omission.removed_vectors;
       "passes", Json.Int o.Compaction.Omission.passes ]
 
-(* Restoration + omission with the pipeline's adaptive trial budget.
-   [pool], when given, is the daemon-wide trial pool: speculative
-   rounds/waves of every in-flight request draw domains from it instead
-   of spawning per-request islands. *)
-let compact_sequence ?pool ~budget ~rm cfg model seq targets =
+(* Restoration + omission with the pipeline's adaptive trial budget. *)
+let compact_sequence ~budget ~rm cfg model seq targets =
   let spec = Compaction.Spec.make () in
   let adaptive = Compaction.Spec.make_adaptive () in
   let restored =
     Compaction.Restoration.run ~budget ~jobs:cfg.Config.compact_jobs ~spec
-      ~adaptive ?pool model seq targets
+      ~adaptive model seq targets
   in
   let targets_r =
     Compaction.Target.compute ~jobs:cfg.Config.sim_jobs model restored
@@ -151,8 +148,8 @@ let compact_sequence ?pool ~budget ~rm cfg model seq targets =
           Some ((4 * Array.length restored) + 2000) }
   in
   let omitted, _, ostats =
-    Compaction.Omission.run ~budget ~metrics:rm ~spec ~adaptive ?pool model
-      restored targets_r omission
+    Compaction.Omission.run ~budget ~metrics:rm ~spec ~adaptive model restored
+      targets_r omission
   in
   Compaction.Spec.record spec (Obs.Metrics.counters rm);
   Compaction.Spec.record_adaptive adaptive (Obs.Metrics.counters rm);
@@ -160,7 +157,7 @@ let compact_sequence ?pool ~budget ~rm cfg model seq targets =
 
 (* ----------------------------------------------------------- handlers *)
 
-let exec_generate ?pool t ~budget ~trace ~id c ~compact ~return_sequence =
+let exec_generate t ~budget ~trace ~id c ~compact ~return_sequence =
   let entry, outcome = lookup t c in
   let compiled = entry.Cache.compiled in
   let rm = Obs.Metrics.create () in
@@ -175,7 +172,7 @@ let exec_generate ?pool t ~budget ~trace ~id c ~compact ~return_sequence =
     if compact && not (Obs.Budget.expired budget) then begin
       let omitted, ostats =
         Obs.Metrics.timed rm ~trace "compact" (fun () ->
-            compact_sequence ?pool ~budget ~rm cfg compiled.Cache.model seq
+            compact_sequence ~budget ~rm cfg compiled.Cache.model seq
               flow.Flow.targets)
       in
       omitted, Some ostats
@@ -213,7 +210,7 @@ let exec_generate ?pool t ~budget ~trace ~id c ~compact ~return_sequence =
       cache = (match outcome with `Hit -> "hit" | `Miss -> "miss");
     } )
 
-let exec_compact ?pool t ~budget ~trace ~id c sequence =
+let exec_compact t ~budget ~trace ~id c sequence =
   let entry, outcome = lookup t c in
   let compiled = entry.Cache.compiled in
   let scan = compiled.Cache.scan in
@@ -245,7 +242,7 @@ let exec_compact ?pool t ~budget ~trace ~id c sequence =
   in
   let omitted, ostats =
     Obs.Metrics.timed rm ~trace "compact" (fun () ->
-        compact_sequence ?pool ~budget ~rm cfg model seq targets)
+        compact_sequence ~budget ~rm cfg model seq targets)
   in
   let status = status_of budget in
   let fields =
@@ -276,7 +273,7 @@ let lengths_json (l : Core.Pipeline.lengths) =
     [ "total", Json.Int l.Core.Pipeline.total;
       "scan", Json.Int l.Core.Pipeline.scan ]
 
-let exec_table ?pool t ~budget ~trace ~id (c : Protocol.compute) =
+let exec_table t ~budget ~trace ~id (c : Protocol.compute) =
   let name =
     match c.Protocol.src with
     | Protocol.Catalog name -> name
@@ -295,7 +292,7 @@ let exec_table ?pool t ~budget ~trace ~id (c : Protocol.compute) =
   in
   let rm = Obs.Metrics.create () in
   let r =
-    Core.Pipeline.run ?pool ~scale:c.Protocol.scale ~config:cfg ~metrics:rm
+    Core.Pipeline.run ~scale:c.Protocol.scale ~config:cfg ~metrics:rm
       ~trace ~budget name
   in
   let row5 = r.Core.Pipeline.row5 in
@@ -380,7 +377,7 @@ let exec_stats (t : t) ~id ~prom =
   in
   payload, { status = "ok"; op = "stats"; circuit = "-"; cache = "-" }
 
-let execute ?pool t ~budget ?(trace = Obs.Trace.null) (req : Protocol.request) =
+let execute t ~budget ?(trace = Obs.Trace.null) (req : Protocol.request) =
   let id = req.Protocol.id in
   try
     match req.Protocol.op with
@@ -415,10 +412,10 @@ let execute ?pool t ~budget ?(trace = Obs.Trace.null) (req : Protocol.request) =
                "status", Json.Str "ok" ]),
         { status = "ok"; op = "shutdown"; circuit = "-"; cache = "-" } )
     | Protocol.Generate { c; compact; return_sequence } ->
-      exec_generate ?pool t ~budget ~trace ~id c ~compact ~return_sequence
+      exec_generate t ~budget ~trace ~id c ~compact ~return_sequence
     | Protocol.Compact { c; sequence } ->
-      exec_compact ?pool t ~budget ~trace ~id c sequence
-    | Protocol.Table { c } -> exec_table ?pool t ~budget ~trace ~id c
+      exec_compact t ~budget ~trace ~id c sequence
+    | Protocol.Table { c } -> exec_table t ~budget ~trace ~id c
   with
   | Protocol.Bad_request msg ->
     bump t "server.bad_request" 1;

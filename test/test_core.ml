@@ -227,6 +227,36 @@ let test_config_for_circuit () =
     (cfg.Core.Config.atpg.Atpg.Seq_atpg.depths <> []);
   Alcotest.(check int) "one chain default" 1 cfg.Core.Config.chains
 
+(* -------------------------------------------------------------- golden *)
+
+(* The paper's Tables 5-7 for s27 and s298 (quick scale, default seed),
+   rendered as [scanatpg table 5|6|7 --circuits s27,s298] prints them.
+   The same bytes at sim_jobs = compact_jobs = 1 and 3: neither the jobs
+   setting nor any refactor of the engines may move a row. *)
+let test_golden_tables () =
+  let expected = In_channel.with_open_bin "golden/tables_quick.txt" In_channel.input_all in
+  List.iter
+    (fun jobs ->
+      let results =
+        List.map
+          (fun name ->
+            let config =
+              Core.Config.with_compact_jobs jobs
+                (Core.Config.with_sim_jobs jobs
+                   (Core.Config.for_circuit (Circuits.Catalog.circuit name)))
+            in
+            Core.Pipeline.run ~config name)
+          [ "s27"; "s298" ]
+      in
+      let rows f = List.map f results in
+      let got =
+        Core.Report.table5 (rows (fun r -> r.Core.Pipeline.row5))
+        ^ Core.Report.table6 (rows (fun r -> r.Core.Pipeline.row6))
+        ^ Core.Report.table7 (List.filter_map (fun r -> r.Core.Pipeline.row7) results)
+      in
+      Alcotest.(check string) (Printf.sprintf "tables at jobs %d" jobs) expected got)
+    [ 1; 3 ]
+
 let () =
   Alcotest.run "core"
     [
@@ -249,6 +279,8 @@ let () =
           Alcotest.test_case "scan runs" `Quick test_report_scan_runs;
           Alcotest.test_case "tables render" `Quick test_report_tables_render;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "tables 5-7 s27 s298 at jobs 1 and 3" `Quick test_golden_tables ] );
       ( "csv",
         [
           Alcotest.test_case "table csv exports" `Quick (fun () ->

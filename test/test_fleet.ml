@@ -90,13 +90,13 @@ let shard_main socket =
       verbose = false;
     }
 
-let with_router ?(shards = 2) ?(result_cache_capacity = 256) ?chaos f =
+let with_router ?(shards = 2) ?(result_cache_capacity = 256) ?chaos
+    ?(launcher = Fleet.Shard.Inproc shard_main) f =
   let sock = Filename.temp_file "scanatpg_fleet" ".sock" in
   let addr = Server.Daemon.Unix_sock sock in
   let cfg =
     {
-      (Fleet.Router.default_config addr ~shards
-         ~launcher:(Fleet.Shard.Inproc shard_main))
+      (Fleet.Router.default_config addr ~shards ~launcher)
       with
       Fleet.Router.result_cache_capacity;
       chaos;
@@ -315,6 +315,60 @@ let test_router_shard_crash_typed_outcomes () =
       Alcotest.(check int) "the kill fired" 1
         (counter stats "router.shard_kills"))
 
+(* A shard that is shutting down: it answers every non-compute op (the
+   router's health probes) with ok, answers its first compute request
+   with the daemon's typed drain rejection, and exits. *)
+let draining_shard socket =
+  (try Unix.unlink socket with Unix.Unix_error _ -> ());
+  let lfd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind lfd (Unix.ADDR_UNIX socket);
+  Unix.listen lfd 4;
+  let fd, _ = Unix.accept lfd in
+  let rec serve () =
+    match P.read_frame fd with
+    | None -> ()
+    | Some frame ->
+      let j = J.parse frame in
+      let id = Option.value ~default:0 (Option.bind (J.member "id" j) J.get_int) in
+      (match J.member "op" j with
+      | Some (J.Str ("generate" | "compact" | "table")) ->
+        P.write_frame fd (P.error_response ~id "overloaded" P.draining_reason)
+      | _ ->
+        P.write_frame fd (Printf.sprintf {|{"id":%d,"status":"ok"}|} id);
+        serve ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.close fd;
+      Unix.close lfd;
+      try Unix.unlink socket with Unix.Unix_error _ -> ())
+    serve;
+  0
+
+let test_router_shard_draining_redispatch () =
+  (* A shard's drain rejection is a lost delivery, not the request's
+     answer: the router restarts the shard and redispatches, and the
+     client gets the same ok payload as from an undisturbed fleet. *)
+  let req = [ {|{"op":"generate","circuit":"s27","seed":77}|} ] in
+  let clean = with_router ~shards:1 (fun addr -> batch addr req) in
+  let first = Atomic.make true in
+  let launcher =
+    Fleet.Shard.Inproc
+      (fun socket ->
+        if Atomic.exchange first false then draining_shard socket
+        else shard_main socket)
+  in
+  with_router ~shards:1 ~launcher (fun addr ->
+      let outcomes = batch addr req in
+      Alcotest.(check (list (pair string string)))
+        "normal ok payload" clean outcomes;
+      Alcotest.(check string) "ok" "ok" (fst (List.hd outcomes));
+      let stats = router_stats addr in
+      Alcotest.(check int) "redispatched once" 1
+        (counter stats "router.redispatched");
+      Alcotest.(check int) "shard restarted once" 1
+        (counter stats "router.shard_restarts"))
+
 let test_router_retried_equals_clean () =
   (* a writer fault poisons the client connection mid-batch; a retrying
      client reconnects to the ROUTER and replays only the unanswered
@@ -398,6 +452,8 @@ let () =
             test_router_shard_crash_typed_outcomes;
           Alcotest.test_case "retried == clean (routed)" `Quick
             test_router_retried_equals_clean;
+          Alcotest.test_case "shard drain rejection redispatched" `Quick
+            test_router_shard_draining_redispatch;
         ] );
       ( "loadgen",
         [

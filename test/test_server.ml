@@ -204,6 +204,26 @@ let test_cache_hit_determinism () =
   | Some (J.Str s) -> Alcotest.(check string) "payload status" "ok" s
   | _ -> Alcotest.fail "payload has no status"
 
+let test_unbounded_jobs_identity () =
+  (* [sim_jobs]/[compact_jobs] arrive off the wire with no upper bound.
+     They only choose the parallel path on the process-wide pool, so a
+     request asking for 200 of each is answered ok and byte-identical to
+     the same request at 1. *)
+  let svc = Server.Service.create () in
+  let run jobs =
+    fst
+      (Server.Service.execute svc ~budget:(Obs.Budget.create ())
+         (P.request_of_string
+            (Printf.sprintf
+               {|{"id":3,"op":"generate","circuit":"s298","seed":3,"sim_jobs":%d,"compact_jobs":%d}|}
+               jobs jobs)))
+  in
+  let p1 = run 1 and p200 = run 200 in
+  (match J.member "status" (J.parse p200) with
+   | Some (J.Str s) -> Alcotest.(check string) "payload status" "ok" s
+   | _ -> Alcotest.fail "payload has no status");
+  Alcotest.(check string) "jobs 200 == jobs 1" p1 p200
+
 let test_cache_eviction () =
   let cache = Server.Cache.create ~capacity:2 in
   let compiled_stub key =
@@ -578,6 +598,8 @@ let () =
             test_cache_hit_determinism;
           Alcotest.test_case "cache eviction" `Quick test_cache_eviction;
           Alcotest.test_case "typed errors" `Quick test_bad_requests_are_typed;
+          Alcotest.test_case "jobs 200 byte-identical to 1" `Quick
+            test_unbounded_jobs_identity;
         ] );
       ( "daemon",
         [

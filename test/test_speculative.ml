@@ -3,7 +3,8 @@
    counters at any [compact_jobs] — including under a tripped budget and
    across a kill-and-resume checkpoint — with only the
    compaction.speculative.* dispatch counters reflecting the actual
-   parallelism. *)
+   parallelism.  The process-wide {!Par} pool the trials run on is
+   tested here too. *)
 
 module C = Netlist.Circuit
 module Model = Faultmodel.Model
@@ -39,26 +40,7 @@ let spec_invariant (s : Spec.counters) =
   s.Spec.dispatched = s.Spec.committed + s.Spec.discarded
   && s.Spec.revalidated <= s.Spec.committed
 
-(* ------------------------------------------------------------- Spec.map *)
-
-let test_spec_map_order () =
-  let expected = Array.init 23 (fun k -> k * k) in
-  Alcotest.(check (array int)) "jobs=1" expected (Spec.map ~jobs:1 23 (fun k -> k * k));
-  Alcotest.(check (array int)) "jobs=3" expected (Spec.map ~jobs:3 23 (fun k -> k * k));
-  Alcotest.(check (array int)) "jobs>n" expected (Spec.map ~jobs:64 23 (fun k -> k * k));
-  Alcotest.(check (array int)) "empty" [||] (Spec.map ~jobs:3 0 (fun k -> k))
-
 exception Poison of int
-
-let test_spec_map_error () =
-  (* A failing evaluation must surface on the calling domain after every
-     worker was joined — at any jobs. *)
-  List.iter
-    (fun jobs ->
-      match Spec.map ~jobs 8 (fun k -> if k = 5 then raise (Poison k) else k) with
-      | _ -> Alcotest.failf "jobs=%d: poison swallowed" jobs
-      | exception Poison 5 -> ())
-    [ 1; 3 ]
 
 (* ------------------------------------------------------------- omission *)
 
@@ -71,13 +53,18 @@ let run_omission ?budget ~jobs ?max_trials (m, seq, targets) =
 let check_omission_invariant what ?budget_of ?max_trials setup =
   let budget () = Option.map (fun f -> f ()) budget_of in
   let s1, t1, st1, spec1 = run_omission ?budget:(budget ()) ~jobs:1 ?max_trials setup in
-  let s3, t3, st3, spec3 = run_omission ?budget:(budget ()) ~jobs:3 ?max_trials setup in
-  Alcotest.(check string) (what ^ ": sequence") (seq_to_string s1) (seq_to_string s3);
-  Alcotest.(check (array int))
-    (what ^ ": det times") t1.Target.det_times t3.Target.det_times;
-  Alcotest.(check bool) (what ^ ": stats") true (st1 = st3);
-  Alcotest.(check int) (what ^ ": no dispatch at jobs=1") 0 spec1.Spec.dispatched;
-  Alcotest.(check bool) (what ^ ": spec invariant") true (spec_invariant spec3)
+  (* Twice at jobs 3: the second run reuses the pool the first one left
+     parked, as consecutive daemon requests do. *)
+  for run = 1 to 2 do
+    let what = Printf.sprintf "%s (jobs 3, run %d)" what run in
+    let s3, t3, st3, spec3 = run_omission ?budget:(budget ()) ~jobs:3 ?max_trials setup in
+    Alcotest.(check string) (what ^ ": sequence") (seq_to_string s1) (seq_to_string s3);
+    Alcotest.(check (array int))
+      (what ^ ": det times") t1.Target.det_times t3.Target.det_times;
+    Alcotest.(check bool) (what ^ ": stats") true (st1 = st3);
+    Alcotest.(check bool) (what ^ ": spec invariant") true (spec_invariant spec3)
+  done;
+  Alcotest.(check int) (what ^ ": no dispatch at jobs=1") 0 spec1.Spec.dispatched
 
 let test_omission_jobs_invariant () =
   check_omission_invariant "plain" (random_setup 11 180)
@@ -105,32 +92,38 @@ let prop_omission_jobs_invariant =
     (fun (seed, len) ->
       let setup = random_setup seed len in
       let s1, t1, st1, _ = run_omission ~jobs:1 setup in
-      let s3, t3, st3, spec3 = run_omission ~jobs:3 setup in
-      seq_to_string s1 = seq_to_string s3
-      && t1.Target.det_times = t3.Target.det_times
-      && st1 = st3
-      && spec_invariant spec3)
+      List.for_all
+        (fun () ->
+          let s3, t3, st3, spec3 = run_omission ~jobs:3 setup in
+          seq_to_string s1 = seq_to_string s3
+          && t1.Target.det_times = t3.Target.det_times
+          && st1 = st3
+          && spec_invariant spec3)
+        [ (); () ])
 
 (* ---------------------------------------------------------- restoration *)
 
-let run_restoration ?budget ?pool ?adaptive ~jobs (m, seq, targets) =
+let run_restoration ?budget ?adaptive ~jobs (m, seq, targets) =
   let stats = Restoration.make_stats () in
   let spec = Spec.make () in
   let restored =
-    Restoration.run ~stats ?budget ~jobs ~spec ?adaptive ?pool m seq targets
+    Restoration.run ~stats ?budget ~jobs ~spec ?adaptive m seq targets
   in
   restored, stats, spec
 
 let check_restoration_invariant what ?budget_of setup =
   let budget () = Option.map (fun f -> f ()) budget_of in
   let s1, st1, spec1 = run_restoration ?budget:(budget ()) ~jobs:1 setup in
-  let s3, st3, spec3 = run_restoration ?budget:(budget ()) ~jobs:3 setup in
-  Alcotest.(check string) (what ^ ": sequence") (seq_to_string s1) (seq_to_string s3);
-  (* Restoration's wave structure is fixed independently of jobs, so even
-     the speculative counters are jobs-invariant. *)
-  Alcotest.(check bool) (what ^ ": stats") true (st1 = st3);
-  Alcotest.(check bool) (what ^ ": spec counters") true (spec1 = spec3);
-  Alcotest.(check bool) (what ^ ": spec invariant") true (spec_invariant spec3)
+  for run = 1 to 2 do
+    let what = Printf.sprintf "%s (jobs 3, run %d)" what run in
+    let s3, st3, spec3 = run_restoration ?budget:(budget ()) ~jobs:3 setup in
+    Alcotest.(check string) (what ^ ": sequence") (seq_to_string s1) (seq_to_string s3);
+    (* Restoration's wave structure is fixed independently of jobs, so
+       even the speculative counters are jobs-invariant. *)
+    Alcotest.(check bool) (what ^ ": stats") true (st1 = st3);
+    Alcotest.(check bool) (what ^ ": spec counters") true (spec1 = spec3);
+    Alcotest.(check bool) (what ^ ": spec invariant") true (spec_invariant spec3)
+  done
 
 let test_restoration_jobs_invariant () =
   check_restoration_invariant "plain" (random_setup 21 200)
@@ -147,17 +140,20 @@ let prop_restoration_jobs_invariant =
     (fun (seed, len) ->
       let setup = random_setup seed len in
       let s1, st1, spec1 = run_restoration ~jobs:1 setup in
-      let s3, st3, spec3 = run_restoration ~jobs:3 setup in
-      seq_to_string s1 = seq_to_string s3 && st1 = st3 && spec1 = spec3)
+      List.for_all
+        (fun () ->
+          let s3, st3, spec3 = run_restoration ~jobs:3 setup in
+          seq_to_string s1 = seq_to_string s3 && st1 = st3 && spec1 = spec3)
+        [ (); () ])
 
 (* ------------------------------------------------------- adaptive width *)
 
-let run_omission_adaptive ?pool ~jobs ~adaptive (m, seq, targets) =
+let run_omission_adaptive ~jobs ~adaptive (m, seq, targets) =
   let cfg = { Omission.default_config with jobs; adaptive } in
   let spec = Spec.make () in
   let ad = Spec.make_adaptive () in
   let seq', targets', stats =
-    Omission.run ~spec ~adaptive:ad ?pool m seq targets cfg
+    Omission.run ~spec ~adaptive:ad m seq targets cfg
   in
   seq', targets', stats, spec, ad
 
@@ -235,82 +231,102 @@ let test_restoration_replay_skip () =
   Alcotest.(check bool) "stats" true (st1 = st3);
   Alcotest.(check bool) "replays skipped" true (ad.Spec.replay_skipped > 0)
 
-(* ------------------------------------------------------------ trial pool *)
+(* ------------------------------------------------------------ Par pool *)
 
-let test_pool_map_order_and_errors () =
-  let pool = Spec.Pool.create ~size:3 in
-  Fun.protect
-    ~finally:(fun () -> Spec.Pool.shutdown pool)
-    (fun () ->
-      let expected = Array.init 23 (fun k -> k * k) in
+let test_pool_order () =
+  let expected = Array.init 23 (fun k -> k * k) in
+  List.iter
+    (fun jobs ->
       Alcotest.(check (array int))
-        "pooled jobs=3" expected
-        (Spec.map ~pool ~jobs:3 23 (fun k -> k * k));
-      Alcotest.(check (array int))
-        "jobs=1 stays sequential" expected
-        (Spec.map ~pool ~jobs:1 23 (fun k -> k * k));
-      (match
-         Spec.map ~pool ~jobs:3 8 (fun k -> if k = 5 then raise (Poison k) else k)
-       with
-       | _ -> Alcotest.fail "pooled poison swallowed"
-       | exception Poison 5 -> ());
-      (* A failed submission must not kill the workers: the pool keeps
-         serving afterwards. *)
-      Alcotest.(check (array int))
-        "pool alive after error" expected
-        (Spec.map ~pool ~jobs:3 23 (fun k -> k * k)))
+        (Printf.sprintf "jobs=%d" jobs)
+        expected
+        (Par.map ~jobs 23 (fun k -> k * k)))
+    [ 1; 3; 64 ];
+  Alcotest.(check (array int)) "empty" [||] (Par.map ~jobs:3 0 (fun k -> k));
+  (* [jobs] far above the pool's fixed size only selects the parallel
+     path; it never changes the result. *)
+  let big = 4 * (Par.size + 1) * 50 in
+  Alcotest.(check (array int))
+    "jobs far above pool size"
+    (Par.map ~jobs:1 big (fun k -> (k * 31) mod 97))
+    (Par.map ~jobs:(100 * big) big (fun k -> (k * 31) mod 97))
 
-let test_pool_concurrent_submitters () =
-  (* Several domains funnel submissions through one pool at once — the
-     daemon's shape, where every worker shares the trial pool.  Each
-     submitter must get its own complete, ordered results. *)
-  let pool = Spec.Pool.create ~size:3 in
-  Fun.protect
-    ~finally:(fun () -> Spec.Pool.shutdown pool)
-    (fun () ->
-      let expected = Array.init 40 (fun k -> (k * 7) + 1) in
-      let submit () = Spec.map ~pool ~jobs:3 40 (fun k -> (k * 7) + 1) in
-      let ds = Array.init 4 (fun _ -> Domain.spawn submit) in
-      Array.iter
-        (fun d ->
-          Alcotest.(check (array int)) "concurrent submitter" expected
-            (Domain.join d))
-        ds)
+let test_pool_error_propagation () =
+  (* A failing slot surfaces on the calling domain — at any jobs. *)
+  List.iter
+    (fun jobs ->
+      match Par.map ~jobs 8 (fun k -> if k = 5 then raise (Poison k) else k) with
+      | _ -> Alcotest.failf "jobs=%d: poison swallowed" jobs
+      | exception Poison 5 -> ())
+    [ 1; 3 ]
 
-let test_pool_omission_equivalence () =
-  (* Omission through a shared pool, twice through the same pool (the
-     daemon reuses it across requests), vs the spawn-per-round path. *)
-  let setup = random_setup 41 180 in
-  let s_spawn, _, st_spawn, _, _ =
-    run_omission_adaptive ~jobs:4 ~adaptive:true setup
-  in
-  let pool = Spec.Pool.create ~size:4 in
+let[@inline never] poison k = raise (Poison k)
+
+let test_pool_lowest_slot_error () =
+  (* Several slots fail; slot 2 fails last in time.  The re-raised error
+     is still slot 2's, with the backtrace of its own raise. *)
+  let recording = Printexc.backtrace_status () in
+  Printexc.record_backtrace true;
   Fun.protect
-    ~finally:(fun () -> Spec.Pool.shutdown pool)
+    ~finally:(fun () -> Printexc.record_backtrace recording)
     (fun () ->
-      for round = 1 to 2 do
-        let s_pool, _, st_pool, _, _ =
-          run_omission_adaptive ~pool ~jobs:4 ~adaptive:true setup
-        in
-        Alcotest.(check string)
-          (Printf.sprintf "pooled sequence (round %d)" round)
-          (seq_to_string s_spawn) (seq_to_string s_pool);
-        Alcotest.(check bool)
-          (Printf.sprintf "pooled stats (round %d)" round)
-          true (st_spawn = st_pool)
+      for _ = 1 to 5 do
+        match
+          Par.map ~jobs:4 8 (fun k ->
+              if k = 2 then begin
+                Unix.sleepf 0.01;
+                poison k
+              end
+              else if k = 5 || k = 7 then poison k
+              else k)
+        with
+        | _ -> Alcotest.fail "poison swallowed"
+        | exception Poison k ->
+          let bt = Printexc.get_raw_backtrace () in
+          Alcotest.(check int) "lowest failing slot" 2 k;
+          Alcotest.(check bool) "backtrace names the raising test file" true
+            (let s = Printexc.raw_backtrace_to_string bt in
+             let needle = "test_speculative.ml" in
+             let rec has i =
+               i + String.length needle <= String.length s
+               && (String.sub s i (String.length needle) = needle || has (i + 1))
+             in
+             has 0)
       done)
 
-let test_pool_restoration_equivalence () =
-  let setup = random_setup 42 200 in
-  let s_spawn, st_spawn, _ = run_restoration ~jobs:3 setup in
-  let pool = Spec.Pool.create ~size:3 in
-  Fun.protect
-    ~finally:(fun () -> Spec.Pool.shutdown pool)
-    (fun () ->
-      let s_pool, st_pool, _ = run_restoration ~pool ~jobs:3 setup in
-      Alcotest.(check string)
-        "pooled sequence" (seq_to_string s_spawn) (seq_to_string s_pool);
-      Alcotest.(check bool) "pooled stats" true (st_spawn = st_pool))
+let test_pool_alive_after_error () =
+  (* A failed submission must not kill the workers: the pool keeps
+     serving afterwards. *)
+  let expected = Array.init 23 (fun k -> k * k) in
+  (match Par.map ~jobs:3 8 (fun k -> if k = 5 then raise (Poison k) else k) with
+   | _ -> Alcotest.fail "poison swallowed"
+   | exception Poison 5 -> ());
+  Alcotest.(check (array int))
+    "pool alive after error" expected
+    (Par.map ~jobs:3 23 (fun k -> k * k))
+
+let test_pool_concurrent_submitters () =
+  (* Several domains funnel submissions through the pool at once — the
+     daemon's shape, where every worker shares it.  Each submitter must
+     get its own complete, ordered results. *)
+  let expected = Array.init 40 (fun k -> (k * 7) + 1) in
+  let submit () = Par.map ~jobs:3 40 (fun k -> (k * 7) + 1) in
+  let ds = Array.init 4 (fun _ -> Domain.spawn submit) in
+  Array.iter
+    (fun d ->
+      Alcotest.(check (array int)) "concurrent submitter" expected
+        (Domain.join d))
+    ds
+
+let test_pool_nested () =
+  (* A slot that submits its own map (an omission trial simulating at
+     sim_jobs > 1) completes even when every worker is busy. *)
+  let inner i = Array.fold_left ( + ) 0 (Array.init 10 (fun k -> i * k)) in
+  Alcotest.(check (array int))
+    "nested submission"
+    (Array.init 6 inner)
+    (Par.map ~jobs:3 6 (fun i ->
+         Array.fold_left ( + ) 0 (Par.map ~jobs:3 10 (fun k -> i * k))))
 
 (* ---------------------------------------------- pipeline, kill-and-resume *)
 
@@ -390,11 +406,6 @@ let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "speculative"
     [
-      ( "spec-map",
-        [
-          Alcotest.test_case "deterministic order" `Quick test_spec_map_order;
-          Alcotest.test_case "error propagation" `Quick test_spec_map_error;
-        ] );
       ( "omission",
         [
           Alcotest.test_case "jobs invariant" `Quick test_omission_jobs_invariant;
@@ -422,14 +433,16 @@ let () =
         ] );
       ( "pool",
         [
+          Alcotest.test_case "deterministic order" `Quick test_pool_order;
+          Alcotest.test_case "error propagation" `Quick
+            test_pool_error_propagation;
+          Alcotest.test_case "lowest-slot error with backtrace" `Quick
+            test_pool_lowest_slot_error;
           Alcotest.test_case "map order and errors" `Quick
-            test_pool_map_order_and_errors;
+            test_pool_alive_after_error;
           Alcotest.test_case "concurrent submitters" `Quick
             test_pool_concurrent_submitters;
-          Alcotest.test_case "omission equivalence" `Quick
-            test_pool_omission_equivalence;
-          Alcotest.test_case "restoration equivalence" `Quick
-            test_pool_restoration_equivalence;
+          Alcotest.test_case "nested submission" `Quick test_pool_nested;
         ] );
       ( "pipeline",
         [
