@@ -866,8 +866,9 @@ let router_cmd =
           ~doc:"Arm the router's fault-injection sites, e.g. \
                 $(b,seed=42;shard=crash#1;writer=error\\@0.02). Site \
                 $(b,shard) kills the dispatch target's process; \
-                $(b,writer) faults a client response write. Reconfigure at \
-                runtime with the $(b,chaos) op.")
+                $(b,accept) drops a new client connection; $(b,writer) \
+                faults a client response write. Reconfigure at runtime \
+                with the $(b,chaos) op.")
   in
   let shard_chaos_arg =
     Arg.(
@@ -1197,10 +1198,7 @@ let top_cmd =
      (shard mid-restart) renders as such and is retried next poll
      instead of ending the watch. *)
   let multi_loop addrs interval count tty =
-    let label = function
-      | Server.Daemon.Unix_sock p -> p
-      | Server.Daemon.Tcp (h, p) -> Printf.sprintf "%s:%d" h p
-    in
+    let label = Server.Conn.addr_to_string in
     let width =
       List.fold_left (fun w a -> max w (String.length (label a))) 0 addrs
     in

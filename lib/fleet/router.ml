@@ -1,10 +1,10 @@
 module Protocol = Server.Protocol
-module Daemon = Server.Daemon
+module Conn = Server.Conn
 module Cache = Server.Cache
 module Json = Obs.Json
 
 type config = {
-  addr : Daemon.addr;
+  addr : Conn.addr;
   shards : int;
   shard_socket : int -> string;
   launcher : Shard.launcher;
@@ -27,8 +27,8 @@ type config = {
 let default_config addr ~shards ~launcher =
   let base =
     match addr with
-    | Daemon.Unix_sock path -> path
-    | Daemon.Tcp (host, port) -> Printf.sprintf "scanatpg-%s-%d" host port
+    | Conn.Unix_sock path -> path
+    | Conn.Tcp (host, port) -> Printf.sprintf "scanatpg-%s-%d" host port
   in
   {
     addr;
@@ -53,18 +53,9 @@ let default_config addr ~shards ~launcher =
 
 (* --------------------------------------------------------------- state *)
 
-type cconn = {
-  fd : Unix.file_descr;
-  cid : int;
-  dec : Protocol.decoder;
-  mutable inflight : int;
-  mutable eof : bool;
-  mutable closed : bool;
-}
-
 type pkind =
   | Client of {
-      client : cconn;
+      client : Conn.conn;
       client_id : int;
       ckey : string option;  (* result-cache key; [None] = do not insert *)
       enq_ns : int;
@@ -105,46 +96,19 @@ type state = {
   pending : (int, pend) Hashtbl.t;
   shards : shard_state array;
   mutable serial : int;
-  mutable next_cid : int;
   mutable draining : bool;
   drain_flag : bool Atomic.t;
+  net : Conn.t;
 }
-
-let say st fmt =
-  Printf.ksprintf
-    (fun s ->
-      if st.cfg.verbose then Printf.eprintf "scanatpg router: %s\n%!" s)
-    fmt
 
 let bump st name n = Obs.Counters.add (Obs.Metrics.counters st.metrics) name n
 let observe st name v = Obs.Metrics.observe st.metrics name v
-
-(* ------------------------------------------------------- client writes *)
-
-let close_cconn conn =
-  if not conn.closed then begin
-    conn.closed <- true;
-    try Unix.close conn.fd with Unix.Unix_error _ -> ()
-  end
-
-(* One response frame to a client; a dead peer or an injected [writer]
-   fault poisons that connection only (the retrying batch client
-   reconnects and replays its unanswered requests). *)
-let send_client st conn payload =
-  if not conn.closed then
-    try
-      Obs.Failpoint.hit st.fp "writer";
-      Protocol.write_frame conn.fd payload
-    with _ ->
-      bump st "router.conn_aborted" 1;
-      close_cconn conn
 
 (* One routed request fully settled (answered or its connection gone). *)
 let complete st serial conn =
   Hashtbl.remove st.pending serial;
   bump st "server.inflight" (-1);
-  conn.inflight <- conn.inflight - 1;
-  if conn.eof && conn.inflight = 0 then close_cconn conn
+  Conn.finish conn
 
 (* -------------------------------------------------- shard supervision *)
 
@@ -160,7 +124,7 @@ let give_up st serial p =
   | Probe -> Hashtbl.remove st.pending serial
   | Client c ->
     bump st "router.internal_error" 1;
-    send_client st c.client
+    Conn.send st.net c.client
       (Protocol.error_response ~id:c.client_id "internal_error"
          (Printf.sprintf "shard %d unavailable after %d deliveries" p.p_shard
             p.p_attempts));
@@ -188,7 +152,7 @@ let kill_proc sh =
    respawn with exponential backoff. *)
 let shard_down st sh reason =
   if sh.s_up || sh.s_fd <> None then
-    say st "shard %d down (%s); %d in flight requeued" sh.s_idx reason
+    Conn.say st.net "shard %d down (%s); %d in flight requeued" sh.s_idx reason
       (Queue.length sh.s_inflight);
   (match sh.s_fd with
   | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
@@ -228,7 +192,7 @@ let rec dispatch st sh serial =
     | () -> ()
     | exception (Obs.Failpoint.Injected _ | Obs.Failpoint.Crashed _) ->
       bump st "router.shard_kills" 1;
-      say st "injected crash of shard %d" sh.s_idx;
+      Conn.say st.net "injected crash of shard %d" sh.s_idx;
       kill_proc sh);
     match sh.s_fd with
     | None -> Queue.push serial sh.s_backlog
@@ -253,7 +217,7 @@ let try_restart st sh now =
     | Some p when Shard.alive p ->
       (* spawned but not yet connectable; enforce the connect timeout *)
       if now -. sh.s_spawned > st.cfg.connect_timeout_s then begin
-        say st "shard %d failed to come up in %.1fs, killing" sh.s_idx
+        Conn.say st.net "shard %d failed to come up in %.1fs, killing" sh.s_idx
           st.cfg.connect_timeout_s;
         kill_proc sh
       end
@@ -266,7 +230,7 @@ let try_restart st sh now =
         end;
         sh.s_started <- true;
         sh.s_spawned <- now;
-        say st "spawning shard %d on %s" sh.s_idx sh.s_socket;
+        Conn.say st.net "spawning shard %d on %s" sh.s_idx sh.s_socket;
         sh.s_proc <-
           Some (Shard.spawn st.cfg.launcher ~idx:sh.s_idx ~socket:sh.s_socket)
       end);
@@ -281,7 +245,7 @@ let try_restart st sh now =
           sh.s_dec <- Protocol.decoder ();
           sh.s_up <- true;
           sh.s_last_probe <- now;
-          say st "shard %d up (%d backlogged)" sh.s_idx
+          Conn.say st.net "shard %d up (%d backlogged)" sh.s_idx
             (Queue.length sh.s_backlog);
           flush_backlog st sh
         | exception Unix.Unix_error _ ->
@@ -314,7 +278,7 @@ let supervise st now =
         match sh.s_probe with
         | Some _ when now -. sh.s_probe_sent > st.cfg.health_timeout_s ->
           bump st "router.health_timeouts" 1;
-          say st "shard %d health probe timed out" sh.s_idx;
+          Conn.say st.net "shard %d health probe timed out" sh.s_idx;
           kill_proc sh;
           shard_down st sh "health timeout"
         | Some _ -> ()
@@ -384,45 +348,24 @@ let handle_shard_frame st sh payload =
         | Some key when status_is_ok suffix ->
           Result_cache.add st.rc ~key ~suffix
         | _ -> ());
-        send_client st c.client (Result_cache.splice_id ~id:c.client_id suffix);
+        Conn.send st.net c.client
+          (Result_cache.splice_id ~id:c.client_id suffix);
         observe st "server.e2e_ns" (Obs.Clock.now_ns () - c.enq_ns);
         complete st serial c.client))
 
-let handle_shard_readable st sh buf =
-  match sh.s_fd with
-  | None -> ()
-  | Some fd -> (
-    let n =
-      try Unix.read fd buf 0 (Bytes.length buf) with
-      | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> 0
-      | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
-        ->
-        -1
-    in
-    if n = 0 then shard_down st sh "connection closed"
-    else if n > 0 then begin
-      Protocol.feed sh.s_dec buf 0 n;
-      let rec frames () =
-        match Protocol.next sh.s_dec with
-        | exception Protocol.Frame_too_large _ ->
-          shard_down st sh "oversized response frame"
-        | Some payload ->
-          handle_shard_frame st sh payload;
-          frames ()
-        | None -> ()
-      in
-      frames ()
-    end)
+let read_shard st sh fd () =
+  match Conn.read_frames st.net fd sh.s_dec (handle_shard_frame st sh) with
+  | Conn.Open -> ()
+  | Conn.Eof -> shard_down st sh "connection closed"
+  | Conn.Too_large _ -> shard_down st sh "oversized response frame"
+
+(* The shard connections, as read handlers for the connection layer. *)
+let shard_fds st =
+  Array.to_list st.shards
+  |> List.filter_map (fun sh ->
+         Option.map (fun fd -> fd, read_shard st sh fd) sh.s_fd)
 
 (* ------------------------------------------------------------ requests *)
-
-let salvage_id payload =
-  match Json.parse payload with
-  | exception Json.Parse_error _ -> 0
-  | j -> (
-    match Option.bind (Json.member "id" j) Json.get_int with
-    | Some id -> id
-    | None -> 0)
 
 let shard_of st (c : Protocol.compute) =
   (* the same FNV-1a content key the compiled-circuit cache uses, so a
@@ -455,64 +398,26 @@ let shards_json st =
    daemon's, the payload reports live state and is the documented
    exception to byte-determinism. *)
 let stats_payload st ~id ~prom =
-  let m = st.metrics in
-  if prom then
-    Json.to_string
-      (Json.Obj
-         [ "id", Json.Int id; "op", Json.Str "stats"; "status", Json.Str "ok";
-           "format", Json.Str "prometheus";
-           "text", Json.Str (Obs.Metrics.to_prometheus m) ])
-  else begin
-    let counters =
-      Json.Obj
-        (List.map
-           (fun (name, v) -> name, Json.Int v)
-           (Obs.Counters.to_alist (Obs.Metrics.counters m)))
-    in
-    let histograms =
-      Json.Obj
-        (List.map
-           (fun (name, h) ->
-             ( name,
-               Json.Obj
-                 [ "count", Json.Int (Obs.Hist.count h);
-                   "sum", Json.Int (Obs.Hist.sum h);
-                   "p50", Json.Int (Obs.Hist.percentile h 0.50);
-                   "p90", Json.Int (Obs.Hist.percentile h 0.90);
-                   "p95", Json.Int (Obs.Hist.percentile h 0.95);
-                   "p99", Json.Int (Obs.Hist.percentile h 0.99) ] ))
-           (Obs.Metrics.hists m))
-    in
-    let rs = Result_cache.stats st.rc in
-    Json.to_string
-      (Json.Obj
-         [ "id", Json.Int id; "op", Json.Str "stats"; "status", Json.Str "ok";
-           "counters", counters; "phases", Json.Obj [];
-           "histograms", histograms;
-           ( "result_cache",
-             Json.Obj
-               [ "entries", Json.Int (Result_cache.length st.rc);
-                 "capacity", Json.Int (Result_cache.capacity st.rc);
-                 "hits", Json.Int rs.Result_cache.hits;
-                 "misses", Json.Int rs.Result_cache.misses;
-                 "insertions", Json.Int rs.Result_cache.insertions;
-                 "evictions", Json.Int rs.Result_cache.evictions ] );
-           "shards", shards_json st ])
-  end
-
-let ok_ack ~id op =
-  Json.to_string
-    (Json.Obj
-       [ "id", Json.Int id; "op", Json.Str op; "status", Json.Str "ok" ])
+  let rs = Result_cache.stats st.rc in
+  Protocol.stats_response ~id ~prom st.metrics
+    [ ( "result_cache",
+        Json.Obj
+          [ "entries", Json.Int (Result_cache.length st.rc);
+            "capacity", Json.Int (Result_cache.capacity st.rc);
+            "hits", Json.Int rs.Result_cache.hits;
+            "misses", Json.Int rs.Result_cache.misses;
+            "insertions", Json.Int rs.Result_cache.insertions;
+            "evictions", Json.Int rs.Result_cache.evictions ] );
+      "shards", shards_json st ]
 
 let reject st conn ~id reason =
   bump st "router.overloaded" 1;
-  send_client st conn (Protocol.error_response ~id "overloaded" reason)
+  Conn.send st.net conn (Protocol.error_response ~id "overloaded" reason)
 
 let admit st conn (req : Protocol.request) (c : Protocol.compute) =
   let id = req.Protocol.id in
   if st.draining then reject st conn ~id "router is draining"
-  else if conn.inflight >= st.cfg.max_inflight then
+  else if Conn.inflight conn >= st.cfg.max_inflight then
     reject st conn ~id "connection in-flight cap reached"
   else begin
     let ckey = Protocol.canonical_of_request ~id:0 ~drop_jobs:true req in
@@ -521,7 +426,7 @@ let admit st conn (req : Protocol.request) (c : Protocol.compute) =
       bump st "server.result_hit" 1;
       bump st "server.accepted" 1;
       let t0 = Obs.Clock.now_ns () in
-      send_client st conn (Result_cache.splice_id ~id suffix);
+      Conn.send st.net conn (Result_cache.splice_id ~id suffix);
       observe st "server.e2e_ns" (Obs.Clock.now_ns () - t0)
     | None -> (
       bump st "server.result_miss" 1;
@@ -549,7 +454,7 @@ let admit st conn (req : Protocol.request) (c : Protocol.compute) =
                 };
             p_attempts = 0;
           };
-        conn.inflight <- conn.inflight + 1;
+        Conn.admit conn;
         bump st "server.accepted" 1;
         bump st "server.inflight" 1;
         if sh.s_up then dispatch st sh serial
@@ -558,103 +463,40 @@ let admit st conn (req : Protocol.request) (c : Protocol.compute) =
   end
 
 let handle_payload st conn payload =
-  match Protocol.request_of_string payload with
-  | exception Protocol.Bad_request msg ->
+  let bad id msg =
     bump st "router.bad_request" 1;
-    send_client st conn (Protocol.error_response ~id:(salvage_id payload) "error" msg)
+    Conn.send st.net conn (Protocol.error_response ~id "error" msg)
+  in
+  match Protocol.request_of_string payload with
+  | exception Protocol.Bad_request msg -> bad (Protocol.salvage_id payload) msg
   | req -> (
     let id = req.Protocol.id in
+    let answer resp =
+      bump st "server.accepted" 1;
+      Conn.send st.net conn resp
+    in
     match req.Protocol.op with
     (* Admin ops are answered by the router itself and bypass the result
        cache: ping for byte-stable liveness, stats for the router's own
        live counters, chaos to arm the router's failpoints, shutdown to
        start the fanned-out drain. *)
-    | Protocol.Ping ->
-      bump st "server.accepted" 1;
-      send_client st conn (ok_ack ~id "ping")
-    | Protocol.Stats { prom } ->
-      bump st "server.accepted" 1;
-      send_client st conn (stats_payload st ~id ~prom)
+    | Protocol.Ping -> answer (Protocol.ack ~id "ping")
+    | Protocol.Stats { prom } -> answer (stats_payload st ~id ~prom)
     | Protocol.Chaos { spec } -> (
-      bump st "server.accepted" 1;
-      let configured =
-        match spec with
-        | None -> Ok ()
-        | Some s -> (
-          try Ok (Obs.Failpoint.configure st.fp s)
-          with Invalid_argument msg -> Error msg)
-      in
-      match configured with
-      | Error msg ->
-        bump st "router.bad_request" 1;
-        send_client st conn (Protocol.error_response ~id "error" msg)
-      | Ok () ->
-        send_client st conn
-          (Json.to_string
-             (Json.Obj
-                [ "id", Json.Int id; "op", Json.Str "chaos";
-                  "status", Json.Str "ok";
-                  "active", Json.Str (Obs.Failpoint.describe st.fp);
-                  ( "fires",
-                    Json.Obj
-                      (List.map
-                         (fun (n, k) -> n, Json.Int k)
-                         (Obs.Failpoint.fires st.fp)) ) ])))
+      match Protocol.chaos_response ~id st.fp spec with
+      | resp -> answer resp
+      | exception Protocol.Bad_request msg ->
+        bump st "server.accepted" 1;
+        bad id msg)
     | Protocol.Shutdown ->
-      bump st "server.accepted" 1;
-      send_client st conn (ok_ack ~id "shutdown");
-      say st "shutdown requested";
+      answer (Protocol.ack ~id "shutdown");
+      Conn.say st.net "shutdown requested";
       Atomic.set st.drain_flag true
     | Protocol.Generate { c; _ } | Protocol.Compact { c; _ }
     | Protocol.Table { c } ->
       admit st conn req c)
 
-let handle_client_readable st conn buf =
-  let n =
-    try Unix.read conn.fd buf 0 (Bytes.length buf) with
-    | Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) -> 0
-    | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
-      -1
-  in
-  if n = 0 then begin
-    conn.eof <- true;
-    if Protocol.pending conn.dec > 0 then bump st "router.bad_request" 1;
-    if conn.inflight = 0 then close_cconn conn
-  end
-  else if n > 0 then begin
-    Protocol.feed conn.dec buf 0 n;
-    let rec frames () =
-      match Protocol.next conn.dec with
-      | exception Protocol.Frame_too_large { announced; max } ->
-        bump st "router.bad_request" 1;
-        send_client st conn
-          (Protocol.error_response ~id:0 "error"
-             (Printf.sprintf "frame of %d bytes exceeds maximum %d" announced
-                max));
-        close_cconn conn
-      | Some payload ->
-        handle_payload st conn payload;
-        frames ()
-      | None -> ()
-    in
-    frames ()
-  end
-
 (* ----------------------------------------------------------- lifecycle *)
-
-let listen_socket = function
-  | Daemon.Unix_sock path ->
-    (try Unix.unlink path with Unix.Unix_error _ -> ());
-    let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.bind fd (Unix.ADDR_UNIX path);
-    Unix.listen fd 64;
-    fd
-  | Daemon.Tcp (host, port) ->
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_of_string host, port));
-    Unix.listen fd 64;
-    fd
 
 let client_pending st =
   Hashtbl.fold
@@ -666,28 +508,16 @@ let client_pending st =
    gets its answer if the respawn beats the grace deadline), then send
    every live shard a shutdown frame and collect every shard process
    before the router itself exits. *)
-let drain st conns listen_fd buf =
+let drain st =
   st.draining <- true;
-  (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-  say st "draining: %d request(s) in flight, grace %.1fs" (client_pending st)
-    st.cfg.drain_grace_s;
+  Conn.stop_listening st.net;
+  Conn.say st.net "draining: %d request(s) in flight, grace %.1fs"
+    (client_pending st) st.cfg.drain_grace_s;
   let deadline = Unix.gettimeofday () +. st.cfg.drain_grace_s in
   while client_pending st > 0 && Unix.gettimeofday () < deadline do
     let now = Unix.gettimeofday () in
     supervise st now;
-    let sfds =
-      Array.to_list st.shards
-      |> List.filter_map (fun sh -> sh.s_fd)
-    in
-    (match Unix.select sfds [] [] 0.05 with
-    | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> ()
-    | ready, _, _ ->
-      Array.iter
-        (fun sh ->
-          match sh.s_fd with
-          | Some fd when List.mem fd ready -> handle_shard_readable st sh buf
-          | _ -> ())
-        st.shards)
+    Conn.wait 0.05 (shard_fds st)
   done;
   (* answer whatever could not be completed inside the grace window *)
   let leftovers =
@@ -699,7 +529,7 @@ let drain st conns listen_fd buf =
       | Probe -> Hashtbl.remove st.pending serial
       | Client c ->
         bump st "router.internal_error" 1;
-        send_client st c.client
+        Conn.send st.net c.client
           (Protocol.error_response ~id:c.client_id "internal_error"
              "router drained before the shard answered");
         complete st serial c.client)
@@ -729,27 +559,32 @@ let drain st conns listen_fd buf =
         Shard.reap proc;
         (try Unix.unlink sh.s_socket with Unix.Unix_error _ -> ()))
     st.shards;
-  List.iter close_cconn conns;
+  Conn.close_all st.net;
   (match st.cfg.metrics_path with
   | None -> ()
   | Some path -> Obs.Metrics.write_file st.metrics path);
-  (match st.cfg.addr with
-  | Daemon.Unix_sock path -> (
-    try Unix.unlink path with Unix.Unix_error _ -> ())
-  | Daemon.Tcp _ -> ());
-  say st "drained";
+  Conn.say st.net "drained";
   0
 
 let run cfg =
   let fp = Obs.Failpoint.create () in
-  (match cfg.chaos with
-  | None -> ()
-  | Some spec -> Obs.Failpoint.configure fp spec);
+  Option.iter (Obs.Failpoint.configure fp) cfg.chaos;
+  let metrics = Obs.Metrics.create () in
+  let drain_flag = Atomic.make false in
+  (* no read deadline or idle timeout: the router sweeps neither *)
+  let net =
+    Conn.create
+      ?drain_flag:(if cfg.install_signals then Some drain_flag else None)
+      ~name:"router" ~verbose:cfg.verbose ~fp
+      ~count:(fun k ->
+        Obs.Counters.add (Obs.Metrics.counters metrics) ("router." ^ k) 1)
+      cfg.addr
+  in
   let st =
     {
       cfg;
       fp;
-      metrics = Obs.Metrics.create ();
+      metrics;
       rc = Result_cache.create ~capacity:cfg.result_cache_capacity;
       pending = Hashtbl.create 64;
       shards =
@@ -773,71 +608,16 @@ let run cfg =
               s_last_probe = 0.0;
             });
       serial = 0;
-      next_cid = 0;
       draining = false;
-      drain_flag = Atomic.make false;
+      drain_flag;
+      net;
     }
   in
-  ignore (Sys.signal Sys.sigpipe Sys.Signal_ignore);
-  if cfg.install_signals then begin
-    let h = Sys.Signal_handle (fun _ -> Atomic.set st.drain_flag true) in
-    ignore (Sys.signal Sys.sigterm h);
-    ignore (Sys.signal Sys.sigint h)
-  end;
-  let listen_fd = listen_socket cfg.addr in
-  say st "routing %d shard(s), result cache capacity %d" cfg.shards
+  Conn.say st.net "routing %d shard(s), result cache capacity %d" cfg.shards
     cfg.result_cache_capacity;
-  let buf = Bytes.create 65536 in
-  let rec loop conns =
-    if Atomic.get st.drain_flag then conns
-    else begin
-      let conns = List.filter (fun c -> not c.closed) conns in
-      supervise st (Unix.gettimeofday ());
-      let cfds =
-        List.filter_map (fun c -> if c.eof then None else Some c.fd) conns
-      in
-      let sfds =
-        Array.to_list st.shards |> List.filter_map (fun sh -> sh.s_fd)
-      in
-      match Unix.select ((listen_fd :: cfds) @ sfds) [] [] 0.1 with
-      | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) ->
-        loop conns
-      | ready, _, _ ->
-        let conns =
-          if List.mem listen_fd ready then (
-            match Unix.accept ~cloexec:true listen_fd with
-            | exception Unix.Unix_error _ -> conns
-            | fd, _sa ->
-              (try Unix.setsockopt_float fd Unix.SO_SNDTIMEO 30.0
-               with Unix.Unix_error _ -> ());
-              st.next_cid <- st.next_cid + 1;
-              let conn =
-                {
-                  fd;
-                  cid = st.next_cid;
-                  dec = Protocol.decoder ();
-                  inflight = 0;
-                  eof = false;
-                  closed = false;
-                }
-              in
-              say st "client connection %d" conn.cid;
-              conn :: conns)
-          else conns
-        in
-        Array.iter
-          (fun sh ->
-            match sh.s_fd with
-            | Some fd when List.mem fd ready -> handle_shard_readable st sh buf
-            | _ -> ())
-          st.shards;
-        List.iter
-          (fun c ->
-            if (not c.eof) && (not c.closed) && List.mem c.fd ready then
-              handle_client_readable st c buf)
-          conns;
-        loop conns
-    end
-  in
-  let conns = loop [] in
-  drain st conns listen_fd buf
+  Conn.serve net
+    ~extra:(fun () -> shard_fds st)
+    ~tick:(fun () -> supervise st (Unix.gettimeofday ()))
+    ~stop:(fun () -> Atomic.get drain_flag)
+    (handle_payload st);
+  drain st

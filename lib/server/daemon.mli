@@ -1,48 +1,36 @@
-(** The `scanatpg serve` daemon (DESIGN.md §11).
+(** The `scanatpg serve` daemon (DESIGN.md §11): a handler on the
+    connection layer ({!Conn}), which owns the socket, framing, send,
+    deadlines and the [accept]/[writer] failpoints.
 
-    One accept/read loop on the calling domain multiplexes every client
-    connection with [select]; [jobs] worker domains execute compute
-    requests from a bounded queue.  Admission control is strict: when the
-    queue is full a request is answered immediately with a typed
-    [overloaded] payload instead of queueing unboundedly.  Admin requests
-    ([ping], [stats], [shutdown], [chaos]) are answered inline by the
-    accept loop — they stay responsive while every worker is busy.
+    [jobs] worker domains execute compute requests from a bounded queue.
+    Admission control is strict: a full queue, a draining daemon or a
+    connection over its in-flight cap gets an immediate typed
+    [overloaded] payload.  Admin requests ([ping], [stats], [shutdown],
+    [chaos]) are answered inline on the loop, so they stay responsive
+    while every worker is busy.
 
-    Hardening (DESIGN.md §13): worker domains contain crashes — an
-    exception escaping a job becomes a typed [internal_error] response
-    plus a [server.worker_restarts] bump and the worker loops on, never
-    a dead domain starving the queue.  A dead or injected-faulty
-    response write poisons only its connection ([server.conn_aborted]).
-    Connections are swept for read-deadline (mid-frame stall, slowloris)
-    and idle-timeout breaches each select tick, and a per-connection
-    in-flight cap keeps one pipelining client from monopolising the
-    queue.  Fault-injection sites ([accept], [queue], [worker],
-    [cache.compile], [writer]) are compiled in permanently and armed via
-    [--chaos] or the [chaos] op — unarmed they cost one atomic load.
+    Hardening (DESIGN.md §13): an exception escaping a job becomes a
+    typed [internal_error] response plus a [server.worker_restarts] bump
+    and the worker loops on.  The daemon's own fault-injection sites are
+    [queue], [worker] and [cache.compile].
 
     Graceful drain (SIGTERM, SIGINT or a [shutdown] request): the
-    listening socket closes, no further requests are admitted, queued and
-    in-flight work runs to completion — and is budget-tripped once
+    listener closes, no further requests are admitted, and queued and
+    in-flight work runs to completion — budget-tripped once
     [drain_grace_s] elapses, so every admitted request is answered with
-    its result or a typed [degraded] response, never cut off mid-frame.
-    After the workers join, final metrics and the request trace are
-    written through {!Obs.Fileio} and [run] returns 0.
+    its result or a typed [degraded] response.  After the workers join,
+    final metrics and the request trace are written through
+    {!Obs.Fileio} and [run] returns 0.
 
-    Observability plane (DESIGN.md §12): every request gets a
-    deterministic trace id ([c<cid>-r<n>], stable per connection); when
-    [trace_path] or [slow_ms] is set, workers record per-request span
-    trees ([request] → [generate]/[compact] → [flow.*]) into
-    single-domain collectors folded into a global one at completion.
-    Queue-wait, service, end-to-end and per-op latencies feed shared
-    power-of-two histograms, exposed with percentiles by the [stats] op
-    (JSON or Prometheus text).  The access log streams one enriched line
-    per request ([trace_id], [queue_wait_ns], [service_ns], [bytes_in],
-    [bytes_out], [cache]) and is flushed per line so [tail -f] follows a
-    live daemon — the one deliberate exception to the {!Obs.Fileio}
-    atomic-write convention.  All of this is timing-derived and stays
-    out of compute response payloads, which remain byte-deterministic. *)
+    Observability (DESIGN.md §12): trace ids [c<cid>-r<n>] are stable
+    per connection; with [trace_path] or [slow_ms] set, workers record
+    per-request span trees.  Queue-wait, service, end-to-end and per-op
+    latency histograms feed the [stats] op.  The access log streams one
+    line per request and is flushed per line so [tail -f] follows a live
+    daemon.  None of this reaches compute payloads, which stay
+    byte-deterministic. *)
 
-type addr =
+type addr = Conn.addr =
   | Unix_sock of string  (** path of a Unix-domain socket (created) *)
   | Tcp of string * int  (** opt-in TCP, e.g. ("127.0.0.1", 7227) *)
 

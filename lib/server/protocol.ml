@@ -347,3 +347,60 @@ let error_response ~id kind message =
     (Json.Obj
        [ "id", Json.Int id; "status", Json.Str kind;
          "error", Json.Str message ])
+
+let salvage_id payload =
+  match Json.parse payload with
+  | exception Json.Parse_error _ -> 0
+  | j -> Option.value ~default:0 (Option.bind (Json.member "id" j) Json.get_int)
+
+let ok_fields ~id op =
+  [ "id", Json.Int id; "op", Json.Str op; "status", Json.Str "ok" ]
+
+let ack ~id op = Json.to_string (Json.Obj (ok_fields ~id op))
+
+let chaos_response ~id fp spec =
+  (match spec with
+  | None -> ()
+  | Some s -> (
+    try Obs.Failpoint.configure fp s
+    with Invalid_argument msg -> raise (Bad_request msg)));
+  Json.to_string
+    (Json.Obj
+       (ok_fields ~id "chaos"
+       @ [ "active", Json.Str (Obs.Failpoint.describe fp);
+           ( "fires",
+             Json.Obj
+               (List.map (fun (n, k) -> n, Json.Int k) (Obs.Failpoint.fires fp))
+           ) ]))
+
+let stats_response ~id ~prom m extra =
+  let fields =
+    if prom then
+      [ "format", Json.Str "prometheus";
+        "text", Json.Str (Obs.Metrics.to_prometheus m) ]
+    else
+      let hist h =
+        Json.Obj
+          [ "count", Json.Int (Obs.Hist.count h);
+            "sum", Json.Int (Obs.Hist.sum h);
+            "p50", Json.Int (Obs.Hist.percentile h 0.50);
+            "p90", Json.Int (Obs.Hist.percentile h 0.90);
+            "p95", Json.Int (Obs.Hist.percentile h 0.95);
+            "p99", Json.Int (Obs.Hist.percentile h 0.99) ]
+      in
+      [ ( "counters",
+          Json.Obj
+            (List.map
+               (fun (name, v) -> name, Json.Int v)
+               (Obs.Counters.to_alist (Obs.Metrics.counters m))) );
+        ( "phases",
+          Json.Obj
+            (List.map
+               (fun (name, s) -> name, Json.Float s)
+               (Obs.Metrics.phases m)) );
+        ( "histograms",
+          Json.Obj
+            (List.map (fun (name, h) -> name, hist h) (Obs.Metrics.hists m)) ) ]
+      @ extra
+  in
+  Json.to_string (Json.Obj (ok_fields ~id "stats" @ fields))

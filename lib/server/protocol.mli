@@ -131,3 +131,28 @@ val error_response : id:int -> string -> string -> string
     for every compute request it refuses to admit.  A router treats that
     reply from a shard as a lost delivery, not as the request's answer. *)
 val draining_reason : string
+
+(** [salvage_id payload] is the integer [id] of a payload that failed to
+    parse as a request, or 0 when even that is missing — a malformed
+    request is still answered under its sender's id, so a pipelining
+    client can correlate the failure. *)
+val salvage_id : string -> int
+
+(** {1 Admin responses}
+
+    Built here once; the daemon and the router both answer [ping],
+    [shutdown], [chaos] and [stats] with these. *)
+
+(** [ack ~id op] is [{"id":id,"op":op,"status":"ok"}]. *)
+val ack : id:int -> string -> string
+
+(** [chaos_response ~id fp spec] applies [spec] (if any) to [fp] and
+    renders the active spec and per-site fire counts.
+    @raise Bad_request on a malformed spec. *)
+val chaos_response : id:int -> Obs.Failpoint.t -> string option -> string
+
+(** [stats_response ~id ~prom m extra] renders [m]: counters, phases and
+    histograms with p50/p90/p95/p99, then the front-end's own [extra]
+    sections — or, with [prom], the Prometheus text exposition alone. *)
+val stats_response :
+  id:int -> prom:bool -> Obs.Metrics.t -> (string * Obs.Json.t) list -> string

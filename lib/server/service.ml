@@ -331,133 +331,50 @@ let exec_table t ~budget ~trace ~id (c : Protocol.compute) =
   with_lock t (fun () -> Obs.Metrics.merge_into ~src:rm ~dst:t.metrics);
   Json.to_string (Json.Obj fields), { status; op = "table"; circuit = name; cache = "-" }
 
-let exec_stats (t : t) ~id ~prom =
-  let m = metrics_snapshot t in
-  let payload =
-    if prom then
-      Json.to_string
-        (Json.Obj
-           [ "id", Json.Int id; "op", Json.Str "stats"; "status", Json.Str "ok";
-             "format", Json.Str "prometheus";
-             "text", Json.Str (Obs.Metrics.to_prometheus m) ])
-    else begin
-      let counters =
-        Json.Obj
-          (List.map
-             (fun (name, v) -> name, Json.Int v)
-             (Obs.Counters.to_alist (Obs.Metrics.counters m)))
-      in
-      let phases =
-        Json.Obj
-          (List.map (fun (name, s) -> name, Json.Float s) (Obs.Metrics.phases m))
-      in
-      let histograms =
-        Json.Obj
-          (List.map
-             (fun (name, h) ->
-               ( name,
-                 Json.Obj
-                   [ "count", Json.Int (Obs.Hist.count h);
-                     "sum", Json.Int (Obs.Hist.sum h);
-                     "p50", Json.Int (Obs.Hist.percentile h 0.50);
-                     "p90", Json.Int (Obs.Hist.percentile h 0.90);
-                     "p95", Json.Int (Obs.Hist.percentile h 0.95);
-                     "p99", Json.Int (Obs.Hist.percentile h 0.99) ] ))
-             (Obs.Metrics.hists m))
-      in
-      Json.to_string
-        (Json.Obj
-           [ "id", Json.Int id; "op", Json.Str "stats"; "status", Json.Str "ok";
-             "counters", counters; "phases", phases; "histograms", histograms;
-             ( "cache",
-               Json.Obj
-                 [ "entries", Json.Int (Cache.length t.cache);
-                   "capacity", Json.Int (Cache.capacity t.cache) ] ) ])
-    end
-  in
-  payload, { status = "ok"; op = "stats"; circuit = "-"; cache = "-" }
-
 let execute t ~budget ?(trace = Obs.Trace.null) (req : Protocol.request) =
   let id = req.Protocol.id in
+  let meta status op = { status; op; circuit = "-"; cache = "-" } in
+  let fail kind counter msg =
+    bump t counter 1;
+    ( Protocol.error_response ~id kind msg,
+      meta kind (Protocol.op_name req.Protocol.op) )
+  in
   try
     match req.Protocol.op with
-    | Protocol.Ping ->
-      ( Json.to_string
-          (Json.Obj
-             [ "id", Json.Int id; "op", Json.Str "ping";
-               "status", Json.Str "ok" ]),
-        { status = "ok"; op = "ping"; circuit = "-"; cache = "-" } )
-    | Protocol.Stats { prom } -> exec_stats t ~id ~prom
+    | Protocol.Ping -> Protocol.ack ~id "ping", meta "ok" "ping"
+    | Protocol.Stats { prom } ->
+      ( Protocol.stats_response ~id ~prom (metrics_snapshot t)
+          [ ( "cache",
+              Json.Obj
+                [ "entries", Json.Int (Cache.length t.cache);
+                  "capacity", Json.Int (Cache.capacity t.cache) ] ) ],
+        meta "ok" "stats" )
     | Protocol.Chaos { spec } ->
-      (match spec with
-      | None -> ()
-      | Some s -> (
-        try Obs.Failpoint.configure t.fp s
-        with Invalid_argument msg -> raise (Protocol.Bad_request msg)));
-      ( Json.to_string
-          (Json.Obj
-             [ "id", Json.Int id; "op", Json.Str "chaos";
-               "status", Json.Str "ok";
-               "active", Json.Str (Obs.Failpoint.describe t.fp);
-               ( "fires",
-                 Json.Obj
-                   (List.map
-                      (fun (n, k) -> n, Json.Int k)
-                      (Obs.Failpoint.fires t.fp)) ) ]),
-        { status = "ok"; op = "chaos"; circuit = "-"; cache = "-" } )
-    | Protocol.Shutdown ->
-      ( Json.to_string
-          (Json.Obj
-             [ "id", Json.Int id; "op", Json.Str "shutdown";
-               "status", Json.Str "ok" ]),
-        { status = "ok"; op = "shutdown"; circuit = "-"; cache = "-" } )
+      Protocol.chaos_response ~id t.fp spec, meta "ok" "chaos"
+    | Protocol.Shutdown -> Protocol.ack ~id "shutdown", meta "ok" "shutdown"
     | Protocol.Generate { c; compact; return_sequence } ->
       exec_generate t ~budget ~trace ~id c ~compact ~return_sequence
     | Protocol.Compact { c; sequence } ->
       exec_compact t ~budget ~trace ~id c sequence
     | Protocol.Table { c } -> exec_table t ~budget ~trace ~id c
   with
-  | Protocol.Bad_request msg ->
-    bump t "server.bad_request" 1;
-    ( Protocol.error_response ~id "error" msg,
-      { status = "error"; op = Protocol.op_name req.Protocol.op; circuit = "-";
-        cache = "-" } )
+  | Protocol.Bad_request msg | Invalid_argument msg ->
+    fail "error" "server.bad_request" msg
   | Netlist.Bench_format.Parse_error { line; col; token; message } ->
-    bump t "server.bad_request" 1;
-    ( Protocol.error_response ~id "error"
-        (Printf.sprintf "parse error at line %d, column %d (%s): %s" line col
-           token message),
-      { status = "error"; op = Protocol.op_name req.Protocol.op; circuit = "-";
-        cache = "-" } )
+    fail "error" "server.bad_request"
+      (Printf.sprintf "parse error at line %d, column %d (%s): %s" line col
+         token message)
   | Netlist.Circuit.Invalid_circuit msg ->
-    bump t "server.bad_request" 1;
-    ( Protocol.error_response ~id "error" ("invalid circuit: " ^ msg),
-      { status = "error"; op = Protocol.op_name req.Protocol.op; circuit = "-";
-        cache = "-" } )
+    fail "error" "server.bad_request" ("invalid circuit: " ^ msg)
   | Not_found ->
-    bump t "server.bad_request" 1;
-    ( Protocol.error_response ~id "error" "unknown circuit (not in the catalog)",
-      { status = "error"; op = Protocol.op_name req.Protocol.op; circuit = "-";
-        cache = "-" } )
-  | Invalid_argument msg ->
-    bump t "server.bad_request" 1;
-    ( Protocol.error_response ~id "error" msg,
-      { status = "error"; op = Protocol.op_name req.Protocol.op; circuit = "-";
-        cache = "-" } )
+    fail "error" "server.bad_request" "unknown circuit (not in the catalog)"
   | Obs.Failpoint.Injected site ->
-    bump t "server.internal_error" 1;
-    ( Protocol.error_response ~id "internal_error"
-        ("injected fault at " ^ site),
-      { status = "internal_error"; op = Protocol.op_name req.Protocol.op;
-        circuit = "-"; cache = "-" } )
+    fail "internal_error" "server.internal_error" ("injected fault at " ^ site)
   | Obs.Failpoint.Crashed _ as e ->
     (* An injected crash models the worker dying mid-request: it must
        escape to the daemon's containment layer, not degrade into a
        polite typed reply here. *)
     raise e
   | e ->
-    bump t "server.internal_error" 1;
-    ( Protocol.error_response ~id "internal_error"
-        ("internal error: " ^ Printexc.to_string e),
-      { status = "internal_error"; op = Protocol.op_name req.Protocol.op;
-        circuit = "-"; cache = "-" } )
+    fail "internal_error" "server.internal_error"
+      ("internal error: " ^ Printexc.to_string e)

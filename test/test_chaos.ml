@@ -1,6 +1,7 @@
 (* Chaos hardening (DESIGN.md #13): deterministic failpoints, worker
    crash containment, connection deadlines, per-connection caps and the
-   idempotent retrying batch client. *)
+   idempotent retrying batch client.  The connection-layer cases run
+   against both the daemon and the router. *)
 
 module P = Server.Protocol
 module F = Obs.Failpoint
@@ -108,28 +109,67 @@ let test_compile_injection_leaves_cache_clean () =
   Alcotest.(check string) "retry was a recompile" "miss"
     m2.Server.Service.cache
 
-(* -------------------------------------------------------------- daemon *)
+(* -------------------------------------------------------------- fronts *)
 
-let with_daemon ?(jobs = 1) ?(queue_depth = 8) ?(max_inflight = 64)
-    ?idle_timeout_s ?read_deadline_s ?chaos f =
-  let sock = Filename.temp_file "scanatpg_chaos" ".sock" in
-  let addr = Server.Daemon.Unix_sock sock in
-  let cfg =
+(* The daemon and the router are handlers on one connection layer
+   (Server.Conn), so its edge cases run against both.  The router fronts
+   two in-process daemon shards. *)
+type front = Daemon | Router
+
+(* Prefix of the front's own counters: the connection layer reports
+   [conn_aborted] and [bad_request] under it. *)
+let prefix = function Daemon -> "server." | Router -> "router."
+
+(* The counter of a typed [overloaded] rejection. *)
+let rejected = function
+  | Daemon -> "server.rejected"
+  | Router -> "router.overloaded"
+
+let quiet_shard socket =
+  Server.Daemon.run
     {
-      (Server.Daemon.default_config addr) with
-      Server.Daemon.jobs;
-      queue_depth;
-      max_inflight;
-      idle_timeout_s;
-      read_deadline_s;
-      chaos;
-      install_signals = false;
+      (Server.Daemon.default_config (Server.Daemon.Unix_sock socket)) with
+      Server.Daemon.install_signals = false;
       verbose = false;
     }
+
+let with_front ?(max_inflight = 64) ?idle_timeout_s ?read_deadline_s ?chaos
+    front f =
+  let sock = Filename.temp_file "scanatpg_chaos" ".sock" in
+  let addr = Server.Daemon.Unix_sock sock in
+  let run =
+    match front with
+    | Daemon ->
+      let cfg =
+        {
+          (Server.Daemon.default_config addr) with
+          Server.Daemon.max_inflight;
+          idle_timeout_s;
+          read_deadline_s;
+          chaos;
+          install_signals = false;
+          verbose = false;
+        }
+      in
+      fun () -> Server.Daemon.run cfg
+    | Router ->
+      let cfg =
+        {
+          (Fleet.Router.default_config addr ~shards:2
+             ~launcher:(Fleet.Shard.Inproc quiet_shard))
+          with
+          Fleet.Router.max_inflight;
+          chaos;
+          drain_grace_s = 10.0;
+          install_signals = false;
+          verbose = false;
+        }
+      in
+      fun () -> Fleet.Router.run cfg
   in
-  let d = Domain.spawn (fun () -> Server.Daemon.run cfg) in
+  let d = Domain.spawn run in
   let rec wait_up n =
-    if n > 250 then Alcotest.fail "daemon did not come up"
+    if n > 250 then Alcotest.fail "front-end did not come up"
     else
       match Server.Client.connect addr with
       | c -> Server.Client.close c
@@ -138,22 +178,21 @@ let with_daemon ?(jobs = 1) ?(queue_depth = 8) ?(max_inflight = 64)
         wait_up (n + 1)
   in
   wait_up 0;
+  let shutdown () =
+    let c = Server.Client.connect addr in
+    ignore (Server.Client.call c {|{"id":9999,"op":"shutdown"}|});
+    Server.Client.close c
+  in
   let result =
     try f addr
     with e ->
-      (try
-         let c = Server.Client.connect addr in
-         ignore (Server.Client.call c {|{"id":9999,"op":"shutdown"}|});
-         Server.Client.close c
-       with _ -> ());
+      (try shutdown () with _ -> ());
       ignore (Domain.join d);
       raise e
   in
-  let c = Server.Client.connect addr in
-  ignore (Server.Client.call c {|{"id":9999,"op":"shutdown"}|});
-  Server.Client.close c;
+  shutdown ();
   let code = Domain.join d in
-  Alcotest.(check int) "daemon drained with exit 0" 0 code;
+  Alcotest.(check int) "front-end drained with exit 0" 0 code;
   result
 
 let counter addr name =
@@ -175,7 +214,7 @@ let status_of payload =
 let test_worker_crash_contained () =
   (* an injected worker death must yield a typed response and a daemon
      that keeps serving and drains cleanly — never a dead domain *)
-  with_daemon ~chaos:"worker=crash#1" (fun addr ->
+  with_front Daemon ~chaos:"worker=crash#1" (fun addr ->
       let c = Server.Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Server.Client.close c)
@@ -196,7 +235,7 @@ let test_worker_crash_contained () =
         (counter addr "server.worker_restarts"))
 
 let test_queue_injection_is_typed () =
-  with_daemon ~chaos:"queue=error#1" (fun addr ->
+  with_front Daemon ~chaos:"queue=error#1" (fun addr ->
       let c = Server.Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Server.Client.close c)
@@ -212,7 +251,7 @@ let test_queue_injection_is_typed () =
           Alcotest.(check string) "next request fine" "ok" (status_of r2)))
 
 let test_chaos_op_runtime () =
-  with_daemon (fun addr ->
+  with_front Daemon (fun addr ->
       let c = Server.Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Server.Client.close c)
@@ -239,8 +278,8 @@ let test_chaos_op_runtime () =
           Alcotest.(check string) "bad spec is a typed error" "error"
             (status_of r)))
 
-let test_per_conn_inflight_cap () =
-  with_daemon ~max_inflight:0 (fun addr ->
+let test_per_conn_inflight_cap front () =
+  with_front front ~max_inflight:0 (fun addr ->
       let c = Server.Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Server.Client.close c)
@@ -253,11 +292,10 @@ let test_per_conn_inflight_cap () =
           (* admin ops bypass the queue and the cap *)
           let r = Server.Client.call c {|{"id":2,"op":"ping"}|} in
           Alcotest.(check string) "ping unaffected" "ok" (status_of r));
-      Alcotest.(check int) "rejection counted" 1
-        (counter addr "server.rejected"))
+      Alcotest.(check int) "rejection counted" 1 (counter addr (rejected front)))
 
 let test_idle_timeout () =
-  with_daemon ~idle_timeout_s:0.2 (fun addr ->
+  with_front Daemon ~idle_timeout_s:0.2 (fun addr ->
       let c = Server.Client.connect addr in
       Fun.protect
         ~finally:(fun () -> Server.Client.close c)
@@ -272,7 +310,7 @@ let test_idle_timeout () =
         (counter addr "server.conn_idle_closed" >= 1))
 
 let test_read_deadline_cuts_slowloris () =
-  with_daemon ~read_deadline_s:0.2 (fun addr ->
+  with_front Daemon ~read_deadline_s:0.2 (fun addr ->
       let sock =
         match addr with
         | Server.Daemon.Unix_sock p -> p
@@ -301,32 +339,72 @@ let test_read_deadline_cuts_slowloris () =
       Alcotest.(check bool) "mid-frame stall is a bad request" true
         (counter addr "server.bad_request" >= 1))
 
-let test_midframe_disconnect_accounted () =
-  with_daemon (fun addr ->
-      let sock =
-        match addr with
-        | Server.Daemon.Unix_sock p -> p
-        | _ -> assert false
-      in
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX sock);
+let raw_connect addr =
+  let sock =
+    match addr with
+    | Server.Daemon.Unix_sock p -> p
+    | _ -> assert false
+  in
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX sock);
+  fd
+
+let rec wait_until n cond =
+  if n > 0 && not (cond ()) then begin
+    Unix.sleepf 0.05;
+    wait_until (n - 1) cond
+  end
+
+let test_midframe_disconnect_accounted front () =
+  with_front front (fun addr ->
+      let aborted () = counter addr (prefix front ^ "conn_aborted") in
+      let fd = raw_connect addr in
       (* two bytes of a header, then vanish *)
       ignore (Unix.write fd (Bytes.of_string "\x00\x00") 0 2);
       Unix.close fd;
-      (* let the accept loop observe the EOF *)
-      let rec wait n =
-        if n = 0 then ()
-        else if counter addr "server.conn_aborted" >= 1 then ()
-        else begin
-          Unix.sleepf 0.05;
-          wait (n - 1)
-        end
-      in
-      wait 40;
+      (* let the loop observe the EOF *)
+      wait_until 40 (fun () -> aborted () >= 1);
       Alcotest.(check bool) "mid-frame EOF counted as bad request" true
-        (counter addr "server.bad_request" >= 1);
+        (counter addr (prefix front ^ "bad_request") >= 1);
+      Alcotest.(check bool) "and as a connection abort" true (aborted () >= 1))
+
+let test_oversize_frame front () =
+  with_front front (fun addr ->
+      let fd = raw_connect addr in
+      Fun.protect
+        ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+        (fun () ->
+          (* announce a 2 GiB payload, far over the 16 MiB cap *)
+          ignore (Unix.write fd (Bytes.of_string "\x7f\xff\xff\xff") 0 4);
+          (match P.read_frame fd with
+          | None -> Alcotest.fail "hung up without a typed error"
+          | Some resp ->
+            Alcotest.(check string) "typed error" "error" (status_of resp);
+            Alcotest.(check bool) "under id 0" true
+              (J.member "id" (J.parse resp) = Some (J.Int 0)));
+          Alcotest.(check bool) "then hang-up" true (P.read_frame fd = None));
+      Alcotest.(check bool) "counted as bad request" true
+        (counter addr (prefix front ^ "bad_request") >= 1);
       Alcotest.(check bool) "and as a connection abort" true
-        (counter addr "server.conn_aborted" >= 1))
+        (counter addr (prefix front ^ "conn_aborted") >= 1))
+
+let test_bad_request_echoes_id front () =
+  (* A semantically invalid request (compact without "vectors") and an
+     unknown op must be answered under the sender's id, or a pipelining
+     client cannot correlate the failure and reports it lost. *)
+  with_front front (fun addr ->
+      let c = Server.Client.connect addr in
+      Fun.protect
+        ~finally:(fun () -> Server.Client.close c)
+        (fun () ->
+          List.iter
+            (fun (id, req) ->
+              let resp = Server.Client.call c req in
+              Alcotest.(check string) "typed error" "error" (status_of resp);
+              Alcotest.(check bool) "echoes id" true
+                (J.member "id" (J.parse resp) = Some (J.Int id)))
+            [ 7, {|{"id":7,"op":"compact","circuit":"s27"}|};
+              8, {|{"id":8,"op":"frobnicate"}|} ]))
 
 (* ----------------------------------------------------- retrying client *)
 
@@ -341,6 +419,22 @@ let batch ?retries ?backoff_ms addr lines =
       Obs.Fileio.write_string input (String.concat "\n" lines ^ "\n");
       Server.Client.run_batch ~addr ~input ~output ?retries ?backoff_ms ())
 
+let payloads outcomes =
+  List.map
+    (fun o ->
+      ( o.Server.Client.id,
+        o.Server.Client.status,
+        Option.value ~default:"" o.Server.Client.payload ))
+    outcomes
+
+let check_same clean retried =
+  List.iter2
+    (fun (id1, s1, p1) (id2, s2, p2) ->
+      Alcotest.(check int) "same id" id1 id2;
+      Alcotest.(check string) "retried run all ok" s1 s2;
+      Alcotest.(check string) "byte-identical payload" p1 p2)
+    clean retried
+
 let test_retried_batch_byte_identical () =
   (* an injected single connection kill at the writer: the plain client
      loses every in-flight response; the retrying client reconnects,
@@ -353,36 +447,65 @@ let test_retried_batch_byte_identical () =
       {|{"op":"generate","circuit":"s27","seed":99}|};
     ]
   in
-  let payloads outcomes =
-    List.map
-      (fun o ->
-        ( o.Server.Client.id,
-          o.Server.Client.status,
-          Option.value ~default:"" o.Server.Client.payload ))
-      outcomes
-  in
-  let clean = with_daemon (fun addr -> payloads (batch addr lines)) in
+  let clean = with_front Daemon (fun addr -> payloads (batch addr lines)) in
   List.iter
     (fun (_, status, _) -> Alcotest.(check string) "clean ok" "ok" status)
     clean;
   let retried =
-    with_daemon ~chaos:"writer=error#1" (fun addr ->
+    with_front Daemon ~chaos:"writer=error#1" (fun addr ->
         payloads (batch ~retries:4 ~backoff_ms:10 addr lines))
   in
-  List.iter2
-    (fun (id1, s1, p1) (id2, s2, p2) ->
-      Alcotest.(check int) "same id" id1 id2;
-      Alcotest.(check string) "retried run all ok" s1 s2;
-      Alcotest.(check string) "byte-identical payload" p1 p2)
-    clean retried;
+  check_same clean retried;
   (* without retries the same fault loses every response on the killed
      connection *)
   let lost =
-    with_daemon ~chaos:"writer=error#1" (fun addr ->
+    with_front Daemon ~chaos:"writer=error#1" (fun addr ->
         payloads (batch addr lines))
   in
   Alcotest.(check bool) "plain client reports losses" true
     (List.exists (fun (_, s, _) -> s = "lost") lost)
+
+let test_accept_fault_retried front () =
+  (* an injected accept failure drops the batch's first connection; the
+     retrying client reconnects and its payloads match a clean run *)
+  let lines =
+    [
+      {|{"op":"generate","circuit":"s27","seed":77}|};
+      {|{"op":"table","circuit":"s27"}|};
+    ]
+  in
+  let clean = with_front front (fun addr -> payloads (batch addr lines)) in
+  let retried =
+    with_front front (fun addr ->
+        (* armed at runtime, so the start-up probe connection is spared
+           and the fault hits the batch's connection *)
+        let c = Server.Client.connect addr in
+        let r =
+          Server.Client.call c
+            {|{"id":1,"op":"chaos","spec":"accept=error#1"}|}
+        in
+        Server.Client.close c;
+        Alcotest.(check string) "armed" "ok" (status_of r);
+        let out = payloads (batch ~retries:4 ~backoff_ms:10 addr lines) in
+        Alcotest.(check int) "dropped connection counted" 1
+          (counter addr (prefix front ^ "conn_aborted"));
+        out)
+  in
+  check_same clean retried
+
+(* The connection-layer cases, run against each front-end. *)
+let conn_cases front =
+  [
+    Alcotest.test_case "per-connection cap" `Quick
+      (test_per_conn_inflight_cap front);
+    Alcotest.test_case "mid-frame disconnect" `Quick
+      (test_midframe_disconnect_accounted front);
+    Alcotest.test_case "oversize frame" `Quick (test_oversize_frame front);
+    Alcotest.test_case "bad request echoes id" `Quick
+      (test_bad_request_echoes_id front);
+    Alcotest.test_case "accept fault retried byte-identical" `Quick
+      (test_accept_fault_retried front);
+  ]
 
 let () =
   Alcotest.run "chaos"
@@ -406,14 +529,12 @@ let () =
           Alcotest.test_case "queue injection typed" `Quick
             test_queue_injection_is_typed;
           Alcotest.test_case "chaos op at runtime" `Quick test_chaos_op_runtime;
-          Alcotest.test_case "per-connection cap" `Quick
-            test_per_conn_inflight_cap;
           Alcotest.test_case "idle timeout" `Quick test_idle_timeout;
           Alcotest.test_case "read deadline" `Quick
             test_read_deadline_cuts_slowloris;
-          Alcotest.test_case "mid-frame disconnect" `Quick
-            test_midframe_disconnect_accounted;
-        ] );
+        ]
+        @ conn_cases Daemon );
+      "router", conn_cases Router;
       ( "retry",
         [
           Alcotest.test_case "retried batch byte-identical" `Quick

@@ -390,26 +390,6 @@ let test_daemon_jobs_determinism () =
       Alcotest.(check string) "payload identical across jobs" p1 p2)
     c1 c2
 
-let test_daemon_bad_request_echoes_id () =
-  (* A semantically invalid request (here: compact without "vectors")
-     must be answered under the sender's id, or a pipelining client
-     cannot correlate the failure and reports it lost. *)
-  with_daemon (fun addr ->
-      let c = Server.Client.connect addr in
-      Fun.protect
-        ~finally:(fun () -> Server.Client.close c)
-        (fun () ->
-          let resp =
-            Server.Client.call c {|{"id":7,"op":"compact","circuit":"s27"}|}
-          in
-          let j = J.parse resp in
-          (match J.member "id" j with
-          | Some (J.Int id) -> Alcotest.(check int) "echoes id" 7 id
-          | _ -> Alcotest.fail "no id");
-          match J.member "status" j with
-          | Some (J.Str s) -> Alcotest.(check string) "typed error" "error" s
-          | _ -> Alcotest.fail "no status"))
-
 let test_daemon_admission_control () =
   (* queue depth 0: every compute request is answered overloaded, typed,
      while admin ops stay served *)
@@ -604,8 +584,6 @@ let () =
       ( "daemon",
         [
           Alcotest.test_case "roundtrip" `Quick test_daemon_roundtrip;
-          Alcotest.test_case "bad request echoes id" `Quick
-            test_daemon_bad_request_echoes_id;
           Alcotest.test_case "jobs determinism" `Quick
             test_daemon_jobs_determinism;
           Alcotest.test_case "admission control" `Quick
